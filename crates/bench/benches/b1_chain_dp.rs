@@ -1,20 +1,17 @@
-//! B1 — scaling of the Algorithm 1 chain DP across its five formulations.
+//! B1 — scaling of the Algorithm 1 chain DP kernels.
 //!
 //! The headline comparison of the fast-path overhaul: the naive `O(n²)` DP
 //! (`reference`, two `exp` calls per cell) against the precomputed-cost
-//! pruned DP (`pruned`, the production path), the `O(n log n)` Li Chao
-//! divide-and-conquer solver (`divide_conquer`) and the blocked
-//! index-space divide and conquer (`blocked`), plus the paper's memoised
-//! recursion. The 4096-task configuration is the acceptance benchmark: the
-//! pruned DP must beat the reference by ≥ 5×.
+//! pruned DP (`pruned`, the production path for small and medium chains)
+//! and the blocked index-space divide and conquer (`blocked`, the
+//! large-chain kernel). The 4096-task configuration is the acceptance
+//! benchmark: the pruned DP must beat the reference by ≥ 5×.
 //!
 //! The `chain_dp_large` group is the `n ≫ 10⁵` scaling acceptance of the
-//! blocked solver: only the envelope formulations run there (the quadratic
-//! ones would take hours at `n = 10⁶`), on a λ chosen so the table stays
-//! out of its saturated fallback (`λ·total work ≈ 10` at `n = 10⁵`, `≈ 105`
-//! at `n = 10⁶`). The `blocked_scratch_reuse` entry is the same solver
-//! through a caller-owned `ChainDpScratch`, isolating the allocator-traffic
-//! cost the arena removes.
+//! blocked solver: only the envelope kernel runs there (the quadratic ones
+//! would take hours at `n = 10⁶`), on a λ chosen so the table stays out of
+//! its saturated fallback (`λ·total work ≈ 10` at `n = 10⁵`, `≈ 105` at
+//! `n = 10⁶`).
 
 use ckpt_bench::random_chain_instance;
 use ckpt_core::chain_dp;
@@ -33,17 +30,9 @@ fn bench_chain_dp(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pruned", n), &instance, |b, inst| {
             b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("divide_conquer", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("blocked", n), &instance, |b, inst| {
             b.iter(|| chain_dp::optimal_chain_schedule_blocked(black_box(inst)).unwrap())
         });
-        if n <= 1024 {
-            group.bench_with_input(BenchmarkId::new("memoized", n), &instance, |b, inst| {
-                b.iter(|| chain_dp::optimal_chain_value_memoized(black_box(inst)).unwrap())
-            });
-        }
     }
 
     // A failure-heavy regime: many checkpoints in the optimum, so the pruning
@@ -53,13 +42,6 @@ fn bench_chain_dp(c: &mut Criterion) {
         BenchmarkId::new("pruned_frequent_failures", 4096),
         &frequent,
         |b, inst| b.iter(|| chain_dp::optimal_chain_schedule(black_box(inst)).unwrap()),
-    );
-    group.bench_with_input(
-        BenchmarkId::new("divide_conquer_frequent_failures", 4096),
-        &frequent,
-        |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
-        },
     );
     group.bench_with_input(
         BenchmarkId::new("blocked_frequent_failures", 4096),
@@ -77,29 +59,9 @@ fn bench_chain_dp_large(c: &mut Criterion) {
     // optimal placement checkpoints every few dozen tasks).
     for &n in &[100_000usize, 1_000_000] {
         let instance = random_chain_instance(7, n, 100.0, 2_000.0, 60.0, 90.0, 30.0, 1e-7);
-        group.bench_with_input(BenchmarkId::new("divide_conquer", n), &instance, |b, inst| {
-            b.iter(|| chain_dp::optimal_chain_schedule_divide_conquer(black_box(inst)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("blocked", n), &instance, |b, inst| {
             b.iter(|| chain_dp::optimal_chain_schedule_blocked(black_box(inst)).unwrap())
         });
-        // Caller-owned scratch arena: same solver, no per-solve allocation of
-        // the block-local Li Chao buffers and envelope scratch (~1 000
-        // transient allocations per solve at n = 10⁶ otherwise).
-        let mut scratch = chain_dp::ChainDpScratch::new();
-        group.bench_with_input(
-            BenchmarkId::new("blocked_scratch_reuse", n),
-            &instance,
-            |b, inst| {
-                b.iter(|| {
-                    chain_dp::optimal_chain_schedule_blocked_with_scratch(
-                        black_box(inst),
-                        &mut scratch,
-                    )
-                    .unwrap()
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -14,9 +14,9 @@
 //!   exponentials and the DP itself are redone per grid point — no surrogate
 //!   instance is cloned per rate. Each grid point's table+DP is independent
 //!   of every other point, so the points are spread across worker threads in
-//!   the Monte-Carlo engine's deterministic contiguous-chunk pattern (one
-//!   [`ChainDpScratch`] per worker, results collected in grid order): the
-//!   sweep is **bit-identical at any thread count**, and
+//!   the Monte-Carlo engine's deterministic contiguous-chunk pattern (results
+//!   collected in grid order): the sweep is **bit-identical at any thread
+//!   count**, and
 //!   [`lambda_sweep_with_threads`] exposes the worker count;
 //! * [`schedule_lambda_sweep`] evaluates one **fixed** schedule across a λ
 //!   vector through the same shared precomputation (the sensitivity curve of
@@ -33,9 +33,7 @@ use ckpt_dag::properties;
 use ckpt_expectation::sweep::log_lambda_grid;
 use ckpt_simulator::SimulationScenario;
 
-use crate::chain_dp::{
-    optimal_chain_schedule, scalable_placement_on_table_with_scratch, ChainDpScratch,
-};
+use crate::chain_dp::{optimal_chain_schedule, scalable_placement_on_table};
 use crate::error::ScheduleError;
 use crate::evaluate::lambda_sweep_for_order;
 use crate::instance::ProblemInstance;
@@ -76,9 +74,8 @@ pub fn lambda_sweep(
 
 /// [`lambda_sweep`] with an explicit worker-thread count (`0` = one per
 /// available core). Grid points are independent (one table + one DP each),
-/// so they are spread across workers in contiguous chunks — each worker
-/// reuses one [`ChainDpScratch`] across its chunk — and collected in grid
-/// order: the result is **bit-identical for every thread count**.
+/// so they are spread across workers in contiguous chunks and collected in
+/// grid order: the result is **bit-identical for every thread count**.
 ///
 /// # Errors
 ///
@@ -96,19 +93,21 @@ pub fn lambda_sweep_with_threads(
     let sweep = lambda_sweep_for_order(instance, &order)?;
     let total_work = instance.total_weight();
 
-    // Each worker reuses one DP scratch arena across its whole chunk: the
-    // per-rate solves reuse the same Li Chao / envelope / DP buffers
-    // instead of reallocating them.
-    crate::parallel::chunked_map_with(&grid, threads, ChainDpScratch::new, |scratch, _, &lambda| {
-        let table = sweep.table_for(lambda).map_err(ScheduleError::from_expectation)?;
-        let placement = scalable_placement_on_table_with_scratch(&table, scratch);
-        Ok(LambdaSweepPoint {
-            lambda,
-            checkpoints: placement.checkpoint_count(),
-            expected_makespan: placement.expected_makespan,
-            slowdown: placement.expected_makespan / total_work,
-        })
-    })
+    crate::parallel::chunked_map_with(
+        &grid,
+        threads,
+        || (),
+        |_, _, &lambda| {
+            let table = sweep.table_for(lambda).map_err(ScheduleError::from_expectation)?;
+            let placement = scalable_placement_on_table(&table);
+            Ok(LambdaSweepPoint {
+                lambda,
+                checkpoints: placement.checkpoint_count(),
+                expected_makespan: placement.expected_makespan,
+                slowdown: placement.expected_makespan / total_work,
+            })
+        },
+    )
     .into_iter()
     .collect()
 }

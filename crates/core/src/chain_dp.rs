@@ -1,5 +1,5 @@
 //! Algorithm 1: the `O(n²)` dynamic program for linear chains (Proposition 3),
-//! plus two faster formulations.
+//! with one kernel per job.
 //!
 //! For a chain `T1 → T2 → … → Tn`, the execution order is forced and only the
 //! checkpoint positions remain to be chosen. Writing `E(x)` for the optimal
@@ -11,39 +11,34 @@
 //! E(n+1) = 0
 //! ```
 //!
-//! where `T(·)` is the Proposition 1 closed form. Five implementations are
-//! provided:
+//! where `T(·)` is the Proposition 1 closed form. Each job has exactly one
+//! kernel:
 //!
-//! * [`optimal_chain_schedule`] — the production fast path: `O(n²)` bottom-up,
-//!   but every Proposition-1 evaluation goes through a precomputed
-//!   [`SegmentCostTable`] (no `exp` in the inner loop) and the inner loop is
-//!   pruned with the table's monotone segment lower bound, which for uniform
-//!   checkpoint costs cuts the loop the moment the segment term alone exceeds
-//!   the incumbent;
-//! * [`optimal_chain_schedule_divide_conquer`] — an `O(n log n)` solver. For a
-//!   fixed `x` the candidate costs decompose as
-//!   `slope(j)·t_x + E(j+1) − coeff(x)`: each candidate `j` is a **line** in
-//!   the query point `t_x = e^{λR_{x−1}}(1/λ+D)e^{−λ·prefix[x]}`. Minimising
-//!   over candidates is a lower-envelope query, answered by a Li Chao tree —
-//!   a divide-and-conquer structure over the query domain — in `O(log n)` per
-//!   insert/query. This also explains the classical monotonicity of
-//!   `choice[x]`: with uniform costs the slopes are sorted and the query
-//!   points monotone, so the envelope is swept in one direction;
-//! * [`optimal_chain_schedule_blocked`] — the `n ≫ 10⁵` scaling path: the
-//!   same line decomposition, but organised as a blocked divide and conquer
-//!   over **index space**. Cache-sized trailing blocks are solved with a
-//!   block-local Li Chao sweep (the tree spans one block's query points, not
-//!   all `n`); cross-block candidates are batched, each solved suffix range
+//! * [`optimal_chain_schedule`] — exact small and medium solves: `O(n²)`
+//!   bottom-up, but every Proposition-1 evaluation goes through a
+//!   precomputed [`SegmentCostTable`] (no `exp` in the inner loop) and the
+//!   inner loop is pruned with the table's monotone segment lower bound,
+//!   which for uniform checkpoint costs cuts the loop the moment the segment
+//!   term alone exceeds the incumbent. [`ResumableDp`] runs the same kernel
+//!   with resumable prefix trials and suffix-only re-solves;
+//! * [`optimal_chain_schedule_blocked`] — large `n` (`10⁵`–`10⁶` tasks). For
+//!   a fixed `x` the candidate costs decompose as
+//!   `slope(j)·t_x + E(j+1) − offset(x)`: each candidate `j` is a **line** in
+//!   the query point `t_x`, and minimising over candidates is a
+//!   lower-envelope query. The solver is a blocked divide and conquer over
+//!   **index space**: cache-sized trailing blocks are solved with a
+//!   block-local Li Chao sweep (the tree spans one block's query points);
+//!   cross-block candidates are batched, each solved suffix range
 //!   contributing its lines to the whole prefix range's queries through one
 //!   sequential sorted-lines/sorted-queries envelope sweep. Every structure
-//!   therefore spans one contiguous range of the order at a time (bounded
-//!   working set, streaming-friendly access to the table's arrays) instead of
-//!   one global tree over all `n` query points;
+//!   spans one contiguous range of the order at a time (bounded working
+//!   set, streaming-friendly access to the table's arrays);
+//! * [`optimal_levelled_schedule`] — two-level checkpoint storage, the pruned
+//!   kernel over `(position, level)` decisions;
 //! * [`optimal_chain_schedule_reference`] — the naive transcription that calls
 //!   the Proposition 1 closed form (two `exp`s) in every DP cell; kept as the
-//!   correctness reference and benchmark baseline;
-//! * [`optimal_chain_value_memoized`] — a faithful memoised-recursive
-//!   transcription of the paper's `DPMAKESPAN` pseudo-code.
+//!   single test oracle (next to exhaustive search in
+//!   [`crate::brute_force`]) and benchmark baseline.
 //!
 //! The recurrence itself is order-agnostic: it only needs the segment costs
 //! of *some* fixed execution order. [`optimal_placement_on_table`] (the
@@ -54,7 +49,7 @@
 //! planning) and `analysis` (λ sweeps) run after building their own
 //! [`SegmentCostTable`]s.
 //!
-//! All formulations are cross-checked against each other and against
+//! Every kernel is cross-checked against the reference and against
 //! exhaustive search in the tests and property tests below.
 
 use ckpt_dag::{properties, TaskId};
@@ -126,11 +121,12 @@ impl TablePlacement {
 }
 
 /// Walks a `choice[x]` table (first checkpoint position of an optimal
-/// solution for suffix `x..n`) into the increasing checkpoint positions.
-fn positions_from_choice(choice: &[usize]) -> Vec<usize> {
+/// solution for suffix `x..n`) from `from` into the increasing checkpoint
+/// positions of that suffix.
+fn positions_from_choice(choice: &[usize], from: usize) -> Vec<usize> {
     let n = choice.len();
     let mut positions = Vec::new();
-    let mut x = 0usize;
+    let mut x = from;
     while x < n {
         let j = choice[x];
         positions.push(j);
@@ -139,33 +135,18 @@ fn positions_from_choice(choice: &[usize]) -> Vec<usize> {
     positions
 }
 
-/// Turns checkpoint positions into a [`ChainSolution`] over `order`.
-fn solution_from_positions(
+/// Turns a placement over `order` into a [`ChainSolution`].
+fn solution_from_placement(
     instance: &ProblemInstance,
     order: Vec<TaskId>,
-    checkpoint_positions: Vec<usize>,
-    expected_makespan: f64,
+    placement: TablePlacement,
 ) -> Result<ChainSolution, ScheduleError> {
-    let mut checkpoint_after = vec![false; order.len()];
-    for &j in &checkpoint_positions {
-        checkpoint_after[j] = true;
-    }
-    let schedule = Schedule::new(instance, order, checkpoint_after)?;
-    Ok(ChainSolution { schedule, expected_makespan, checkpoint_positions })
-}
-
-/// The pruned Algorithm 1 inner recurrence for positions `x < below`, given
-/// final values for `value[below..]`: `value[x]` is the optimal expected
-/// time for positions `x..n`, `choice[x]` the first checkpoint position of
-/// an optimal solution for that suffix. `value` must hold `n + 1` entries
-/// with `value[n] = 0`.
-fn pruned_dp_range(
-    table: &SegmentCostTable,
-    value: &mut [f64],
-    choice: &mut [usize],
-    below: usize,
-) {
-    pruned_dp_span(table, value, choice, 0, below);
+    let schedule = Schedule::new(instance, order, placement.checkpoint_after())?;
+    Ok(ChainSolution {
+        schedule,
+        expected_makespan: placement.expected_makespan,
+        checkpoint_positions: placement.checkpoint_positions,
+    })
 }
 
 /// The pruned Algorithm 1 inner recurrence restricted to positions
@@ -174,6 +155,7 @@ fn pruned_dp_range(
 /// be solved independently of the prefix before it — which is what both the
 /// order search ([`ResumableDp::try_prefix`], `from = 0`) and the online
 /// re-planning policies ([`ResumableDp::solve_suffix`], `below = n`) exploit.
+/// `value` must hold `n + 1` entries with `value[n] = 0`.
 fn pruned_dp_span(
     table: &SegmentCostTable,
     value: &mut [f64],
@@ -212,15 +194,6 @@ fn pruned_dp_span(
     solver_stats::DP_POSITIONS.add((below - from) as u64);
     solver_stats::DP_CANDIDATES.add(candidates);
     solver_stats::DP_PRUNE_BREAKS.add(prune_breaks);
-}
-
-/// The pruned bottom-up Algorithm 1 recurrence, on a prebuilt table.
-fn pruned_dp(table: &SegmentCostTable) -> (Vec<f64>, Vec<usize>) {
-    let n = table.len();
-    let mut value = vec![0.0f64; n + 1];
-    let mut choice = vec![0usize; n];
-    pruned_dp_range(table, &mut value, &mut choice, n);
-    (value, choice)
 }
 
 /// Reusable state of the pruned Algorithm 1 recurrence that supports
@@ -286,7 +259,7 @@ impl ResumableDp {
         self.choice.clear();
         self.choice.resize(n, 0);
         solver_stats::FULL_SOLVES.add(1);
-        pruned_dp_range(table, &mut self.value, &mut self.choice, n);
+        pruned_dp_span(table, &mut self.value, &mut self.choice, 0, n);
         self.trial_pending = false;
         self.value[0]
     }
@@ -312,7 +285,7 @@ impl ResumableDp {
         self.trial_choice.extend_from_slice(&self.choice);
         solver_stats::PREFIX_TRIALS.add(1);
         solver_stats::SUFFIX_REUSED_POSITIONS.add((n - below) as u64);
-        pruned_dp_range(table, &mut self.trial_value, &mut self.trial_choice, below);
+        pruned_dp_span(table, &mut self.trial_value, &mut self.trial_choice, 0, below);
         self.trial_pending = true;
         self.trial_value[0]
     }
@@ -406,7 +379,7 @@ impl ResumableDp {
         assert!(self.len > 0, "placement before the first solve");
         TablePlacement {
             expected_makespan: self.value[0],
-            checkpoint_positions: positions_from_choice(&self.choice),
+            checkpoint_positions: positions_from_choice(&self.choice, 0),
         }
     }
 
@@ -424,14 +397,7 @@ impl ResumableDp {
     /// must not ask for positions below their last solved suffix.
     pub fn suffix_positions(&self, from: usize) -> Vec<usize> {
         assert!(self.len > 0, "suffix_positions before the first solve");
-        let mut positions = Vec::new();
-        let mut x = from;
-        while x < self.len {
-            let j = self.choice[x];
-            positions.push(j);
-            x = j + 1;
-        }
-        positions
+        positions_from_choice(&self.choice, from)
     }
 }
 
@@ -445,10 +411,13 @@ impl ResumableDp {
 /// `O(n²)` worst case with the table's monotone lower-bound pruning, `O(n)`
 /// space, no `exp` in the inner loop.
 pub fn optimal_placement_on_table(table: &SegmentCostTable) -> TablePlacement {
-    let (value, choice) = pruned_dp(table);
+    let n = table.len();
+    let mut value = vec![0.0f64; n + 1];
+    let mut choice = vec![0usize; n];
+    pruned_dp_span(table, &mut value, &mut choice, 0, n);
     TablePlacement {
         expected_makespan: value[0],
-        checkpoint_positions: positions_from_choice(&choice),
+        checkpoint_positions: positions_from_choice(&choice, 0),
     }
 }
 
@@ -488,13 +457,7 @@ pub fn optimal_placement_on_table(table: &SegmentCostTable) -> TablePlacement {
 ///   [`ProblemInstance::builder`]).
 pub fn optimal_chain_schedule(instance: &ProblemInstance) -> Result<ChainSolution, ScheduleError> {
     let (order, table) = chain_table(instance)?;
-    let placement = optimal_placement_on_table(&table);
-    solution_from_positions(
-        instance,
-        order,
-        placement.checkpoint_positions,
-        placement.expected_makespan,
-    )
+    solution_from_placement(instance, order, optimal_placement_on_table(&table))
 }
 
 /// A levelled checkpoint placement computed directly on a
@@ -786,59 +749,9 @@ pub fn optimal_levelled_schedule(
     })
 }
 
-/// Computes the optimal checkpoint placement in `O(n log n)` by treating each
-/// candidate "first checkpoint at `j`" as a line `slope(j)·t + E(j+1)` in the
-/// query point `t_x` and sweeping a Li Chao tree (divide and conquer over the
-/// query domain) from the end of the chain to its start.
-///
-/// Returns the same optimum as [`optimal_chain_schedule`] (cross-checked to
-/// `10⁻¹⁰` relative error in the tests); the checkpoint positions may differ
-/// only between exactly cost-equivalent solutions.
-///
-/// On *saturated* instances (`λ·total work` ≳ 650, where the slope/query
-/// decomposition overflows `f64`) this transparently falls back to the pruned
-/// `O(n²)` DP, which remains exact there.
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_schedule_divide_conquer(
-    instance: &ProblemInstance,
-) -> Result<ChainSolution, ScheduleError> {
-    let (order, table) = chain_table(instance)?;
-    if table.is_saturated() {
-        return saturated_fallback(instance, order, &table);
-    }
-    let n = order.len();
-
-    let points: Vec<f64> = (0..n).map(|x| table.query_point(x)).collect();
-    let mut domain = points.clone();
-    domain.sort_by(f64::total_cmp);
-    domain.dedup();
-    let mut envelope = LiChaoTree::new(domain);
-
-    let mut value = vec![0.0f64; n + 1];
-    let mut choice = vec![0usize; n];
-    for x in (0..n).rev() {
-        // Candidate "first checkpoint at j = x" becomes available exactly
-        // now: its intercept E(x+1) was computed in the previous step.
-        envelope.insert(LiChaoLine { slope: table.slope(x), intercept: value[x + 1], id: x });
-        let (best, id) = envelope.query(points[x]);
-        value[x] = best - table.coefficient(x);
-        choice[x] = id;
-    }
-
-    // Re-sum the reconstructed segments through the table so the reported
-    // value carries the summation order of the other solvers rather than the
-    // envelope's line arithmetic.
-    let positions = positions_from_choice(&choice);
-    let expected_makespan = resummed_value(&table, &positions);
-    solution_from_positions(instance, order, positions, expected_makespan)
-}
-
 /// Sums the table costs of the checkpoint-delimited segments of `positions` —
-/// used by the envelope-based solvers to report a value with the same
-/// summation order as the direct DPs instead of their line arithmetic.
+/// used by the blocked solver to report a value with the same summation
+/// order as the direct DPs instead of its line arithmetic.
 fn resummed_value(table: &SegmentCostTable, positions: &[usize]) -> f64 {
     let mut total = 0.0;
     let mut start = 0usize;
@@ -854,21 +767,20 @@ fn resummed_value(table: &SegmentCostTable, positions: &[usize]) -> f64 {
 /// DP state) near 64 KiB together — L1/L2 resident on current hardware.
 const DP_BLOCK: usize = 1024;
 
-/// Computes the optimal checkpoint placement with the same line
-/// decomposition as [`optimal_chain_schedule_divide_conquer`], organised as
-/// a **blocked divide and conquer over index space** so chains of
+/// Computes the optimal checkpoint placement by treating each candidate
+/// "first checkpoint at `j`" as a line `slope(j)·t + E(j+1)` in the query
+/// point `t_x` (see [`SegmentCostTable::query_point`]), organised as a
+/// **blocked divide and conquer over index space** so chains of
 /// `10⁵`–`10⁶` tasks stream through cache-sized working sets. Worst case
 /// `O(n log² n)` (each of the `log(n / DP_BLOCK)` cross-range levels
 /// comparison-sorts its lines and queries); effectively `O(n log n)` when
 /// slopes and query points are near-monotone in position — uniform
 /// checkpoint/recovery costs, the common case — because the sorts are
-/// adaptive. Measured faster than the global Li Chao solver from `≈ 10⁵`
-/// tasks up (see `EXPERIMENTS.md`):
+/// adaptive (see `EXPERIMENTS.md` for measurements):
 ///
 /// * trailing blocks of `DP_BLOCK` (1 024) positions are solved with a
 ///   block-local Li Chao sweep whose tree spans only the block's query
-///   points (L2-resident, unlike the divide-and-conquer solver's global
-///   tree over all `n` points);
+///   points (L2-resident);
 /// * once a suffix range is solved, its candidate lines are batched into a
 ///   monotone lower envelope (lines sorted by slope, queries by point, one
 ///   forward sweep over each — purely sequential scans) over just the
@@ -881,8 +793,9 @@ const DP_BLOCK: usize = 1024;
 /// Returns the same optimum as [`optimal_chain_schedule`] (cross-checked to
 /// `10⁻¹⁰` relative error in the tests); checkpoint positions may differ only
 /// between exactly cost-equivalent solutions. On *saturated* instances
-/// (`λ·total work` ≳ 650) this transparently falls back to the pruned `O(n²)`
-/// DP, exactly like the divide-and-conquer solver.
+/// (`λ·total work` ≳ 650, where the line decomposition overflows `f64`) this
+/// transparently falls back to the pruned `O(n²)` DP on the already-built
+/// table, which remains exact there.
 ///
 /// # Errors
 ///
@@ -890,78 +803,13 @@ const DP_BLOCK: usize = 1024;
 pub fn optimal_chain_schedule_blocked(
     instance: &ProblemInstance,
 ) -> Result<ChainSolution, ScheduleError> {
-    optimal_chain_schedule_blocked_with_scratch(instance, &mut ChainDpScratch::new())
-}
-
-/// The shared saturated-instance fallback of the two envelope solvers: the
-/// slope/query-point decomposition overflows there, so run the pruned DP on
-/// the **already-built** table instead of rebuilding anything.
-fn saturated_fallback(
-    instance: &ProblemInstance,
-    order: Vec<TaskId>,
-    table: &SegmentCostTable,
-) -> Result<ChainSolution, ScheduleError> {
-    let placement = optimal_placement_on_table(table);
-    solution_from_positions(
-        instance,
-        order,
-        placement.checkpoint_positions,
-        placement.expected_makespan,
-    )
-}
-
-/// Caller-owned scratch arena for the blocked chain solver (and the pruned
-/// DP behind [`scalable_placement_on_table_with_scratch`]).
-///
-/// One solve of [`optimal_chain_schedule_blocked`] at `n = 10⁶` otherwise
-/// performs ~1 000 transient allocations: a Li Chao node vector and a sorted
-/// query-point domain per trailing block, plus lines/hull/query buffers per
-/// cross-range envelope level. Holding the buffers here removes all of that
-/// allocator traffic from the hot path — batch consumers (λ sweeps, the
-/// order search, the §6 batch planner) reuse one arena across every solve.
-///
-/// # Example
-///
-/// ```
-/// use ckpt_core::{chain_dp, chain_dp::ChainDpScratch, ProblemInstance};
-/// use ckpt_dag::generators;
-///
-/// let mut scratch = ChainDpScratch::new();
-/// for lambda in [1e-5, 1e-4, 1e-3] {
-///     let graph = generators::uniform_chain(64, 300.0)?;
-///     let instance = ProblemInstance::builder(graph)
-///         .uniform_checkpoint_cost(30.0)
-///         .uniform_recovery_cost(30.0)
-///         .platform_lambda(lambda)
-///         .build()?;
-///     let with_scratch =
-///         chain_dp::optimal_chain_schedule_blocked_with_scratch(&instance, &mut scratch)?;
-///     let fresh = chain_dp::optimal_chain_schedule_blocked(&instance)?;
-///     assert_eq!(with_scratch.expected_makespan, fresh.expected_makespan);
-/// }
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ChainDpScratch {
-    points: Vec<f64>,
-    slopes: Vec<f64>,
-    value: Vec<f64>,
-    choice: Vec<usize>,
-    cross_val: Vec<f64>,
-    cross_id: Vec<usize>,
-    domain: Vec<f64>,
-    tree: LiChaoTree,
-    lines: Vec<(f64, f64, usize)>,
-    hull: Vec<(f64, f64, usize)>,
-    by_point: Vec<usize>,
-}
-
-impl ChainDpScratch {
-    /// An empty arena; buffers grow to the largest table solved through it
-    /// and are reused from then on.
-    pub fn new() -> Self {
-        ChainDpScratch::default()
-    }
+    let (order, table) = chain_table(instance)?;
+    let placement = if table.is_saturated() {
+        optimal_placement_on_table(&table)
+    } else {
+        blocked_placement(&table, DP_BLOCK)
+    };
+    solution_from_placement(instance, order, placement)
 }
 
 /// Tables at least this long run the blocked core in
@@ -982,107 +830,40 @@ const SCALABLE_THRESHOLD: usize = 1024;
 /// are cross-checked to `10⁻¹⁰` relative error in the tests); checkpoint
 /// positions may differ only between exactly cost-equivalent solutions.
 pub fn scalable_placement_on_table(table: &SegmentCostTable) -> TablePlacement {
-    scalable_placement_on_table_with_scratch(table, &mut ChainDpScratch::new())
-}
-
-/// [`scalable_placement_on_table`] with a caller-owned [`ChainDpScratch`]:
-/// identical result, but all working buffers (block-local Li Chao trees,
-/// envelope scratch, DP state) are reused across calls instead of being
-/// reallocated per solve. This is the entry point batch consumers
-/// ([`crate::analysis::lambda_sweep`], [`crate::order_search`]) loop over.
-pub fn scalable_placement_on_table_with_scratch(
-    table: &SegmentCostTable,
-    scratch: &mut ChainDpScratch,
-) -> TablePlacement {
     if table.len() >= SCALABLE_THRESHOLD && !table.is_saturated() {
-        blocked_placement_with_block_into(table, DP_BLOCK, scratch)
+        blocked_placement(table, DP_BLOCK)
     } else {
-        let n = table.len();
-        scratch.value.clear();
-        scratch.value.resize(n + 1, 0.0);
-        scratch.choice.clear();
-        scratch.choice.resize(n, 0);
-        pruned_dp_range(table, &mut scratch.value, &mut scratch.choice, n);
-        TablePlacement {
-            expected_makespan: scratch.value[0],
-            checkpoint_positions: positions_from_choice(&scratch.choice),
-        }
+        optimal_placement_on_table(table)
     }
 }
 
-/// [`optimal_chain_schedule_blocked`] with a caller-owned
-/// [`ChainDpScratch`]: identical result, no per-solve allocation of the
-/// block-local Li Chao buffers and envelope scratch (~1 000 transient
-/// allocations at `n = 10⁶` otherwise; measured in `b1_chain_dp`'s
-/// `blocked_scratch_reuse` entry).
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_schedule_blocked_with_scratch(
-    instance: &ProblemInstance,
-    scratch: &mut ChainDpScratch,
-) -> Result<ChainSolution, ScheduleError> {
-    let (order, table) = chain_table(instance)?;
-    if table.is_saturated() {
-        return saturated_fallback(instance, order, &table);
-    }
-    let placement = blocked_placement_with_block_into(&table, DP_BLOCK, scratch);
-    solution_from_positions(
-        instance,
-        order,
-        placement.checkpoint_positions,
-        placement.expected_makespan,
-    )
-}
-
-/// The blocked core with an explicit block size, so tests can force deep
-/// recursion on small chains.
-#[cfg(test)]
-fn blocked_placement_with_block(table: &SegmentCostTable, block: usize) -> TablePlacement {
-    blocked_placement_with_block_into(table, block, &mut ChainDpScratch::new())
-}
-
-/// The blocked core, running entirely out of `scratch`'s buffers.
-fn blocked_placement_with_block_into(
-    table: &SegmentCostTable,
-    block: usize,
-    scratch: &mut ChainDpScratch,
-) -> TablePlacement {
+/// The blocked core with an explicit block size (tests force deep recursion
+/// on small chains with tiny blocks).
+fn blocked_placement(table: &SegmentCostTable, block: usize) -> TablePlacement {
     debug_assert!(!table.is_saturated(), "blocked solver needs slopes/query points");
     assert!(block > 0, "block size must be positive");
     let n = table.len();
-    scratch.points.clear();
-    scratch.points.extend((0..n).map(|x| table.query_point(x)));
-    scratch.slopes.clear();
-    scratch.slopes.extend((0..n).map(|j| table.slope(j)));
-    scratch.value.clear();
-    scratch.value.resize(n + 1, 0.0);
-    scratch.choice.clear();
-    scratch.choice.resize(n, 0);
-    scratch.cross_val.clear();
-    scratch.cross_val.resize(n, f64::INFINITY);
-    scratch.cross_id.clear();
-    scratch.cross_id.resize(n, usize::MAX);
 
     struct BlockedDp<'a> {
         table: &'a SegmentCostTable,
-        points: &'a [f64],
-        slopes: &'a [f64],
+        points: Vec<f64>,
+        slopes: Vec<f64>,
         block: usize,
         /// `value[x]` = optimal expected time for positions `x..n`.
-        value: &'a mut [f64],
-        choice: &'a mut [usize],
+        value: Vec<f64>,
+        choice: Vec<usize>,
         /// Best cross-range candidate of `x` in **line form**
-        /// (`slope(j)·t_x + value[j+1]`, before subtracting `coeff(x)`),
-        /// accumulated over the envelopes of all solved suffix ranges.
-        cross_val: &'a mut [f64],
-        cross_id: &'a mut [usize],
-        domain: &'a mut Vec<f64>,
-        tree: &'a mut LiChaoTree,
-        lines: &'a mut Vec<(f64, f64, usize)>,
-        hull: &'a mut Vec<(f64, f64, usize)>,
-        by_point: &'a mut Vec<usize>,
+        /// (`slope(j)·t_x + value[j+1]`, before subtracting the query
+        /// offset of `x`), accumulated over the envelopes of all solved
+        /// suffix ranges.
+        cross_val: Vec<f64>,
+        cross_id: Vec<usize>,
+        // Working buffers, reused across blocks and envelope levels.
+        domain: Vec<f64>,
+        tree: LiChaoTree,
+        lines: Vec<(f64, f64, usize)>,
+        hull: Vec<(f64, f64, usize)>,
+        by_point: Vec<usize>,
     }
 
     impl BlockedDp<'_> {
@@ -1099,17 +880,16 @@ fn blocked_placement_with_block_into(
             self.solve(lo, mid);
         }
 
-        /// One cache-sized block, solved with the Li Chao sweep of the
-        /// divide-and-conquer formulation restricted to the block: the tree
-        /// spans only the block's query points (L2-resident at [`DP_BLOCK`]),
-        /// and candidates from outside the block enter through the
-        /// accumulated cross-range minima.
+        /// One cache-sized block, solved with a Li Chao sweep restricted to
+        /// the block: the tree spans only the block's query points
+        /// (L2-resident at [`DP_BLOCK`]), and candidates from outside the
+        /// block enter through the accumulated cross-range minima.
         fn solve_block(&mut self, lo: usize, hi: usize) {
             self.domain.clear();
             self.domain.extend_from_slice(&self.points[lo..hi]);
             self.domain.sort_by(f64::total_cmp);
             self.domain.dedup();
-            self.tree.reset(self.domain);
+            self.tree.reset(&self.domain);
             for x in (lo..hi).rev() {
                 // Candidate "first checkpoint at j = x" becomes available
                 // exactly now: its intercept E(x+1) is final.
@@ -1124,7 +904,7 @@ fn blocked_placement_with_block_into(
                     best = self.cross_val[x];
                     best_j = self.cross_id[x];
                 }
-                self.value[x] = best - self.table.coefficient(x);
+                self.value[x] = best - self.table.query_offset(x);
                 self.choice[x] = best_j;
             }
         }
@@ -1190,38 +970,26 @@ fn blocked_placement_with_block_into(
         }
     }
 
-    let ChainDpScratch {
-        points,
-        slopes,
-        value,
-        choice,
-        cross_val,
-        cross_id,
-        domain,
-        tree,
-        lines,
-        hull,
-        by_point,
-    } = scratch;
     let mut dp = BlockedDp {
         table,
-        points,
-        slopes,
+        points: (0..n).map(|x| table.query_point(x)).collect(),
+        slopes: (0..n).map(|j| table.slope(j)).collect(),
         block,
-        value,
-        choice,
-        cross_val,
-        cross_id,
-        domain,
-        tree,
-        lines,
-        hull,
-        by_point,
+        value: vec![0.0; n + 1],
+        choice: vec![0; n],
+        cross_val: vec![f64::INFINITY; n],
+        cross_id: vec![usize::MAX; n],
+        domain: Vec::new(),
+        tree: LiChaoTree::default(),
+        lines: Vec::new(),
+        hull: Vec::new(),
+        by_point: Vec::new(),
     };
     dp.solve(0, n);
 
-    // Re-sum through the table, as the divide-and-conquer solver does.
-    let positions = positions_from_choice(dp.choice);
+    // Re-sum through the table so the reported value carries the summation
+    // order of the direct DPs rather than the envelope's line arithmetic.
+    let positions = positions_from_choice(&dp.choice, 0);
     let expected_makespan = resummed_value(table, &positions);
     TablePlacement { expected_makespan, checkpoint_positions: positions }
 }
@@ -1241,11 +1009,11 @@ impl LiChaoLine {
     }
 }
 
-/// A Li Chao tree over a fixed, sorted set of query points: divide and
-/// conquer on the query domain, keeping in each node the line that wins at
-/// the node's midpoint. Insert and query are `O(log n)`; the minimum returned
-/// at any stored point is exact (no convexity assumptions on insertion
-/// order).
+/// A Li Chao tree over a fixed, sorted set of query points — the blocked
+/// solver's block-local building block: divide and conquer on the query
+/// domain, keeping in each node the line that wins at the node's midpoint.
+/// Insert and query are `O(log n)`; the minimum returned at any stored point
+/// is exact (no convexity assumptions on insertion order).
 #[derive(Debug, Clone, Default)]
 struct LiChaoTree {
     xs: Vec<f64>,
@@ -1253,13 +1021,8 @@ struct LiChaoTree {
 }
 
 impl LiChaoTree {
-    fn new(xs: Vec<f64>) -> Self {
-        let len = xs.len().max(1);
-        LiChaoTree { xs, nodes: vec![None; 4 * len] }
-    }
-
     /// Re-spans the tree over a new sorted domain, keeping both buffers'
-    /// capacity (the [`ChainDpScratch`] reuse path).
+    /// capacity across the blocks of one solve.
     fn reset(&mut self, xs: &[f64]) {
         self.xs.clear();
         self.xs.extend_from_slice(xs);
@@ -1395,79 +1158,11 @@ pub fn optimal_chain_schedule_reference(
         choice[x] = best_j;
     }
 
-    solution_from_positions(instance, order, positions_from_choice(&choice), value[0])
-}
-
-/// Faithful transcription of the paper's recursive `DPMAKESPAN(x, n)`
-/// (Algorithm 1), with memoisation. Returns the same optimum as
-/// [`optimal_chain_schedule`]; exposed separately so tests and benches can
-/// compare the formulations.
-///
-/// # Errors
-///
-/// Same as [`optimal_chain_schedule`].
-pub fn optimal_chain_value_memoized(instance: &ProblemInstance) -> Result<f64, ScheduleError> {
-    let order = properties::as_chain(instance.graph()).ok_or(ScheduleError::NotAChain)?;
-    let n = order.len();
-    let lambda = instance.lambda();
-    let downtime = instance.downtime();
-    let mut prefix = vec![0.0f64; n + 1];
-    for (k, &task) in order.iter().enumerate() {
-        prefix[k + 1] = prefix[k] + instance.weight(task);
-    }
-    let mut memo: Vec<Option<f64>> = vec![None; n + 1];
-
-    // Proposition 1 applied to positions x..=j (0-based), recovering with the
-    // checkpoint of position x-1 (or the initial state).
-    struct Ctx<'a> {
-        instance: &'a ProblemInstance,
-        order: &'a [ckpt_dag::TaskId],
-        prefix: &'a [f64],
-        lambda: f64,
-        downtime: f64,
-    }
-    impl Ctx<'_> {
-        fn segment(&self, x: usize, j: usize) -> f64 {
-            let recovery = if x == 0 {
-                self.instance.initial_recovery()
-            } else {
-                self.instance.recovery_cost(self.order[x - 1])
-            };
-            let work = self.prefix[j + 1] - self.prefix[x];
-            let params = ExecutionParams::new(
-                work,
-                self.instance.checkpoint_cost(self.order[j]),
-                self.downtime,
-                recovery,
-                self.lambda,
-            )
-            .expect("instance parameters were validated at construction");
-            expected_time(&params)
-        }
-    }
-    fn dp(x: usize, n: usize, ctx: &Ctx<'_>, memo: &mut Vec<Option<f64>>) -> f64 {
-        if x == n {
-            return 0.0;
-        }
-        if let Some(v) = memo[x] {
-            return v;
-        }
-        // The paper's `best` initialisation: execute everything remaining and
-        // checkpoint only after the last task.
-        let mut best = ctx.segment(x, n - 1);
-        // Try checkpointing first after position j, for j < n - 1.
-        for j in x..n - 1 {
-            let cur = ctx.segment(x, j) + dp(j + 1, n, ctx, memo);
-            if cur < best {
-                best = cur;
-            }
-        }
-        memo[x] = Some(best);
-        best
-    }
-
-    let ctx = Ctx { instance, order: &order, prefix: &prefix, lambda, downtime };
-    Ok(dp(0, n, &ctx, &mut memo))
+    let placement = TablePlacement {
+        expected_makespan: value[0],
+        checkpoint_positions: positions_from_choice(&choice, 0),
+    };
+    solution_from_placement(instance, order, placement)
 }
 
 #[cfg(test)]
@@ -1490,7 +1185,7 @@ mod tests {
     }
 
     /// A chain with deterministic pseudo-random heterogeneous weights and
-    /// costs — exercises the pruning bound and the Li Chao sweep away from
+    /// costs — exercises the pruning bound and the envelope sweeps away from
     /// the uniform-cost special case.
     fn random_heterogeneous_chain(seed: u64, n: usize, lambda: f64) -> ProblemInstance {
         let mut rng = Pcg64::seed_from_u64(seed);
@@ -1536,12 +1231,7 @@ mod tests {
             .unwrap();
         assert!(matches!(optimal_chain_schedule(&inst), Err(ScheduleError::NotAChain)));
         assert!(matches!(optimal_chain_schedule_reference(&inst), Err(ScheduleError::NotAChain)));
-        assert!(matches!(
-            optimal_chain_schedule_divide_conquer(&inst),
-            Err(ScheduleError::NotAChain)
-        ));
         assert!(matches!(optimal_chain_schedule_blocked(&inst), Err(ScheduleError::NotAChain)));
-        assert!(matches!(optimal_chain_value_memoized(&inst), Err(ScheduleError::NotAChain)));
     }
 
     #[test]
@@ -1577,10 +1267,6 @@ mod tests {
             for (name, value) in [
                 ("pruned", optimal_chain_schedule(&inst).unwrap().expected_makespan),
                 ("reference", optimal_chain_schedule_reference(&inst).unwrap().expected_makespan),
-                (
-                    "divide_conquer",
-                    optimal_chain_schedule_divide_conquer(&inst).unwrap().expected_makespan,
-                ),
                 ("blocked", optimal_chain_schedule_blocked(&inst).unwrap().expected_makespan),
             ] {
                 assert!(
@@ -1607,13 +1293,13 @@ mod tests {
     }
 
     #[test]
-    fn divide_conquer_matches_reference_on_heterogeneous_chains() {
+    fn blocked_matches_reference_on_heterogeneous_chains() {
         for seed in 0..12u64 {
             for lambda in [1e-6, 1e-4, 1e-3] {
                 let inst = random_heterogeneous_chain(seed, 60, lambda);
-                let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
+                let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
                 let reference = optimal_chain_schedule_reference(&inst).unwrap();
-                let gap = (dc.expected_makespan - reference.expected_makespan).abs()
+                let gap = (blocked.expected_makespan - reference.expected_makespan).abs()
                     / reference.expected_makespan;
                 assert!(gap < 1e-10, "seed {seed} λ {lambda}: gap {gap}");
             }
@@ -1627,7 +1313,6 @@ mod tests {
         // constant, so the optimum checkpoints after every task.
         let inst = chain_instance(&[100.0; 200], 0.1, 0.1, 0.0, 0.1);
         let fast = optimal_chain_schedule(&inst).unwrap();
-        let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
         let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
         let reference = optimal_chain_schedule_reference(&inst).unwrap();
         assert!(fast.expected_makespan.is_finite());
@@ -1635,22 +1320,7 @@ mod tests {
             / reference.expected_makespan;
         assert!(gap < 1e-10, "gap {gap}");
         assert_eq!(fast.checkpoint_positions.len(), 200);
-        assert_eq!(dc.checkpoint_positions, fast.checkpoint_positions);
         assert_eq!(blocked.checkpoint_positions, fast.checkpoint_positions);
-    }
-
-    #[test]
-    fn memoized_recursion_matches_bottom_up() {
-        let inst = chain_instance(
-            &[400.0, 100.0, 900.0, 250.0, 650.0, 300.0, 120.0, 780.0],
-            45.0,
-            90.0,
-            15.0,
-            2e-4,
-        );
-        let bottom_up = optimal_chain_schedule(&inst).unwrap().expected_makespan;
-        let memoized = optimal_chain_value_memoized(&inst).unwrap();
-        assert!((bottom_up - memoized).abs() / bottom_up < 1e-10);
     }
 
     #[test]
@@ -1712,10 +1382,7 @@ mod tests {
         let sol = optimal_chain_schedule(&inst).unwrap();
         assert_eq!(sol.schedule.len(), 1000);
         assert!(sol.expected_makespan > inst.total_weight());
-        // The O(n log n) solvers agree at this scale too.
-        let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
-        let gap = (dc.expected_makespan - sol.expected_makespan).abs() / sol.expected_makespan;
-        assert!(gap < 1e-10, "gap {gap}");
+        // The blocked solver agrees at this scale too.
         let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
         let gap = (blocked.expected_makespan - sol.expected_makespan).abs() / sol.expected_makespan;
         assert!(gap < 1e-10, "gap {gap}");
@@ -1729,9 +1396,9 @@ mod tests {
         for lambda in [1e-7, 1e-5, 1e-4] {
             let inst = random_heterogeneous_chain(5, 3_000, lambda);
             let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
-            let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
-            let gap =
-                (blocked.expected_makespan - dc.expected_makespan).abs() / dc.expected_makespan;
+            let pruned = optimal_chain_schedule(&inst).unwrap();
+            let gap = (blocked.expected_makespan - pruned.expected_makespan).abs()
+                / pruned.expected_makespan;
             assert!(gap < 1e-10, "λ {lambda}: gap {gap}");
             // The reported value matches the analytical evaluation of the
             // schedule the solver actually returned.
@@ -1757,12 +1424,40 @@ mod tests {
             let inst = random_heterogeneous_chain(seed, 37, 1e-4);
             let order = properties::as_chain(inst.graph()).unwrap();
             let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
-            let tiny = blocked_placement_with_block(&table, 3);
+            let tiny = blocked_placement(&table, 3);
             let reference = optimal_chain_schedule_reference(&inst).unwrap();
             let gap = (tiny.expected_makespan - reference.expected_makespan).abs()
                 / reference.expected_makespan;
             assert!(gap < 1e-10, "seed {seed}: gap {gap}");
             assert_eq!(table.total_cost(&tiny.checkpoint_after()), tiny.expected_makespan);
+        }
+    }
+
+    #[test]
+    fn blocked_solver_with_tiny_blocks_matches_reference_at_numeric_edges() {
+        // The block-3 half of the numeric-edge wall (the public kernels are
+        // walled in `tests/chain_dp_optimality.rs`): λ·W from 1e-16, where
+        // an unshifted line form cancels, up to a saturated table, which
+        // the blocked core never sees (the public entry points fall back).
+        for n in [1usize, 2, 50, 1_500] {
+            for lambda_work in [1e-16, 1e-15, 1e-13, 1e-12, 1e-9, 1e-6, 1e-3, 1.0, 100.0] {
+                let uniform = chain_instance(&vec![100.0; n], 10.0, 5.0, 1.0, 1.0);
+                let heterogeneous = random_heterogeneous_chain(n as u64, n, 1.0);
+                for base in [uniform, heterogeneous] {
+                    let inst = base.with_lambda(lambda_work / base.total_weight()).unwrap();
+                    let order = properties::as_chain(inst.graph()).unwrap();
+                    let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
+                    let tiny = blocked_placement(&table, 3);
+                    let reference = optimal_chain_schedule_reference(&inst).unwrap();
+                    let base = reference.expected_makespan;
+                    let gap = (tiny.expected_makespan - base).abs() / base;
+                    assert!(
+                        tiny.expected_makespan == base || gap < 1e-10,
+                        "n {n} λ·W {lambda_work}: blocked(3) {} vs reference {base}",
+                        tiny.expected_makespan
+                    );
+                }
+            }
         }
     }
 
@@ -1891,29 +1586,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_solves_across_tables() {
-        let mut scratch = ChainDpScratch::new();
-        // Mix of sizes around the scalable threshold and regimes, reusing
-        // one arena throughout.
-        for (seed, n, lambda) in [(1u64, 64usize, 1e-4), (2, 1500, 1e-5), (3, 700, 1e-3)] {
-            let inst = random_heterogeneous_chain(seed, n, lambda);
-            let order = properties::as_chain(inst.graph()).unwrap();
-            let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
-            let reused = scalable_placement_on_table_with_scratch(&table, &mut scratch);
-            let fresh = scalable_placement_on_table(&table);
-            assert_eq!(reused.expected_makespan, fresh.expected_makespan, "seed {seed}");
-            assert_eq!(reused.checkpoint_positions, fresh.checkpoint_positions);
-        }
-        // The chain-level scratch entry point agrees with the allocating one.
-        let inst = random_heterogeneous_chain(9, 2000, 1e-5);
-        let with_scratch =
-            optimal_chain_schedule_blocked_with_scratch(&inst, &mut scratch).unwrap();
-        let fresh = optimal_chain_schedule_blocked(&inst).unwrap();
-        assert_eq!(with_scratch.expected_makespan, fresh.expected_makespan);
-        assert_eq!(with_scratch.checkpoint_positions, fresh.checkpoint_positions);
-    }
-
-    #[test]
     fn table_placement_exposes_flags_and_counts() {
         let inst = chain_instance(&[400.0, 100.0, 900.0, 250.0], 60.0, 60.0, 30.0, 1e-4);
         let order = properties::as_chain(inst.graph()).unwrap();
@@ -1957,21 +1629,18 @@ mod tests {
         fn prop_all_formulations_agree(
             seed in any::<u64>(),
             n in 2usize..48,
-            lambda_exp in -6.0f64..-2.0,
+            log_lambda_work in -16.0f64..2.7,
         ) {
-            let lambda = 10f64.powf(lambda_exp);
+            // λ is drawn through λ·W, down to λ·W ≈ 1e-16 where the table's
+            // product forms would cancel.
+            let work = random_heterogeneous_chain(seed, n, 1e-4).total_weight();
+            let lambda = 10f64.powf(log_lambda_work) / work;
             let inst = random_heterogeneous_chain(seed, n, lambda);
             let fast = optimal_chain_schedule(&inst).unwrap();
             let reference = optimal_chain_schedule_reference(&inst).unwrap();
-            let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
-            let memoized = optimal_chain_value_memoized(&inst).unwrap();
             let base = reference.expected_makespan;
             prop_assert!((fast.expected_makespan - base).abs() / base < 1e-10,
                 "pruned {} vs reference {base}", fast.expected_makespan);
-            prop_assert!((dc.expected_makespan - base).abs() / base < 1e-10,
-                "divide-conquer {} vs reference {base}", dc.expected_makespan);
-            prop_assert!((memoized - base).abs() / base < 1e-10,
-                "memoized {memoized} vs reference {base}");
             // The blocked solver, at production block size and with a tiny
             // block size that forces deep recursion on these chain lengths.
             let blocked = optimal_chain_schedule_blocked(&inst).unwrap();
@@ -1979,23 +1648,27 @@ mod tests {
                 "blocked {} vs reference {base}", blocked.expected_makespan);
             let order = properties::as_chain(inst.graph()).unwrap();
             let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
-            let tiny = blocked_placement_with_block(&table, 4);
+            let tiny = blocked_placement(&table, 4);
             prop_assert!((tiny.expected_makespan - base).abs() / base < 1e-10,
                 "blocked(4) {} vs reference {base}", tiny.expected_makespan);
         }
 
         #[test]
-        fn prop_divide_conquer_matches_exhaustive_on_small_chains(
+        fn prop_blocked_matches_exhaustive_on_small_chains(
             seed in any::<u64>(),
             n in 2usize..9,
             lambda_exp in -5.0f64..-2.0,
         ) {
+            // Block size 3 splits every chain longer than three positions
+            // into Li Chao blocks joined by cross-range envelopes.
             let lambda = 10f64.powf(lambda_exp);
             let inst = random_heterogeneous_chain(seed, n, lambda);
-            let dc = optimal_chain_schedule_divide_conquer(&inst).unwrap();
+            let order = properties::as_chain(inst.graph()).unwrap();
+            let table = crate::evaluate::segment_cost_table(&inst, &order).unwrap();
+            let blocked = blocked_placement(&table, 3);
             let brute = exhaustive_optimum(&inst);
-            prop_assert!((dc.expected_makespan - brute).abs() / brute < 1e-10,
-                "divide-conquer {} vs exhaustive {brute}", dc.expected_makespan);
+            prop_assert!((blocked.expected_makespan - brute).abs() / brute < 1e-10,
+                "blocked(3) {} vs exhaustive {brute}", blocked.expected_makespan);
         }
     }
 

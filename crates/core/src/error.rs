@@ -19,6 +19,12 @@ pub enum ScheduleError {
         /// Value supplied by the caller.
         value: f64,
     },
+    /// The failure rate is so small that `1/λ` overflows `f64` (see
+    /// [`ckpt_expectation::validate_rate`]).
+    RateTooSmall {
+        /// Rate supplied by the caller.
+        value: f64,
+    },
     /// A numeric parameter must be non-negative and finite.
     NegativeParameter {
         /// Name of the offending parameter.
@@ -80,6 +86,9 @@ impl fmt::Display for ScheduleError {
             ScheduleError::NonPositiveParameter { name, value } => {
                 write!(f, "parameter `{name}` must be strictly positive, got {value}")
             }
+            ScheduleError::RateTooSmall { value } => {
+                write!(f, "failure rate `lambda` = {value:e} is too small: 1/lambda overflows")
+            }
             ScheduleError::NegativeParameter { name, value } => {
                 write!(f, "parameter `{name}` must be non-negative, got {value}")
             }
@@ -135,6 +144,7 @@ impl ScheduleError {
             ExpectationError::NegativeParameter { name, value } => {
                 ScheduleError::NegativeParameter { name, value }
             }
+            ExpectationError::RateTooSmall { value } => ScheduleError::RateTooSmall { value },
             ExpectationError::NonPositiveParameter { name, value }
             | ExpectationError::NonFiniteParameter { name, value }
             | ExpectationError::FractionOutOfRange { name, value } => {

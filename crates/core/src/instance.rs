@@ -2,7 +2,12 @@
 
 use ckpt_dag::{TaskGraph, TaskId};
 
-use crate::error::{ensure_non_negative, ensure_positive, ScheduleError};
+use crate::error::{ensure_non_negative, ScheduleError};
+
+/// [`ckpt_expectation::validate_rate`] in the scheduling error vocabulary.
+fn validate_rate(lambda: f64) -> Result<f64, ScheduleError> {
+    ckpt_expectation::validate_rate(lambda).map_err(ScheduleError::from_expectation)
+}
 
 /// A complete instance of the checkpoint-scheduling problem:
 ///
@@ -106,9 +111,11 @@ impl ProblemInstance {
     ///
     /// # Errors
     ///
-    /// Returns an error if `lambda` is not strictly positive and finite.
+    /// Returns an error if `lambda` fails
+    /// [`validate_rate`](ckpt_expectation::validate_rate): not strictly
+    /// positive and finite, or so small that `1/λ` overflows.
     pub fn with_lambda(&self, lambda: f64) -> Result<ProblemInstance, ScheduleError> {
-        Ok(ProblemInstance { lambda: ensure_positive("lambda", lambda)?, ..self.clone() })
+        Ok(ProblemInstance { lambda: validate_rate(lambda)?, ..self.clone() })
     }
 }
 
@@ -260,7 +267,7 @@ impl ProblemInstanceBuilder {
             recovery_costs,
             initial_recovery: ensure_non_negative("initial recovery", self.initial_recovery)?,
             downtime: ensure_non_negative("downtime", self.downtime)?,
-            lambda: ensure_positive("lambda", self.lambda)?,
+            lambda: validate_rate(self.lambda)?,
         })
     }
 }

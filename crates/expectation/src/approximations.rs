@@ -12,7 +12,7 @@
 //!
 //! All three are implemented here as baselines for experiment E1.
 
-use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::error::{ensure_non_negative, ensure_positive, validate_rate, ExpectationError};
 use crate::exact::ExecutionParams;
 
 /// Young's first-order optimal checkpoint period `√(2C/λ)` for a divisible
@@ -23,7 +23,7 @@ use crate::exact::ExecutionParams;
 /// Returns an error if `checkpoint ≤ 0` or `lambda ≤ 0`.
 pub fn young_period(checkpoint: f64, lambda: f64) -> Result<f64, ExpectationError> {
     let c = ensure_positive("checkpoint", checkpoint)?;
-    let l = ensure_positive("lambda", lambda)?;
+    let l = validate_rate(lambda)?;
     Ok((2.0 * c / l).sqrt())
 }
 
@@ -42,7 +42,7 @@ pub fn young_period(checkpoint: f64, lambda: f64) -> Result<f64, ExpectationErro
 /// Returns an error if `checkpoint ≤ 0` or `lambda ≤ 0`.
 pub fn daly_period(checkpoint: f64, lambda: f64) -> Result<f64, ExpectationError> {
     let c = ensure_positive("checkpoint", checkpoint)?;
-    let l = ensure_positive("lambda", lambda)?;
+    let l = validate_rate(lambda)?;
     let m = 1.0 / l;
     if c < 2.0 * m {
         let ratio = c / (2.0 * m);
@@ -115,7 +115,7 @@ pub fn periodic_divisible_makespan(
     ensure_non_negative("checkpoint", checkpoint)?;
     ensure_non_negative("downtime", downtime)?;
     ensure_non_negative("recovery", recovery)?;
-    ensure_positive("lambda", lambda)?;
+    validate_rate(lambda)?;
     let full_chunks = (w_total / period).floor() as u64;
     let remainder = w_total - full_chunks as f64 * period;
     let mut total = 0.0;

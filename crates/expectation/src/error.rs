@@ -23,6 +23,13 @@ pub enum ExpectationError {
         /// Value supplied by the caller.
         value: f64,
     },
+    /// A failure rate so small that its reciprocal `1/λ` (the mean time
+    /// between failures every closed form is scaled by) overflows `f64`:
+    /// any `λ` below `1/f64::MAX ≈ 5.6·10⁻³⁰⁹`, i.e. the subnormal rates.
+    RateTooSmall {
+        /// Rate supplied by the caller.
+        value: f64,
+    },
     /// A parameter must be finite.
     NonFiniteParameter {
         /// Name of the offending parameter.
@@ -53,6 +60,9 @@ impl fmt::Display for ExpectationError {
             ExpectationError::NegativeParameter { name, value } => {
                 write!(f, "parameter `{name}` must be non-negative, got {value}")
             }
+            ExpectationError::RateTooSmall { value } => {
+                write!(f, "failure rate `lambda` = {value:e} is too small: 1/lambda overflows")
+            }
             ExpectationError::NonFiniteParameter { name, value } => {
                 write!(f, "parameter `{name}` must be finite, got {value}")
             }
@@ -79,6 +89,33 @@ pub(crate) fn ensure_positive(name: &'static str, value: f64) -> Result<f64, Exp
         return Err(ExpectationError::NonPositiveParameter { name, value });
     }
     Ok(value)
+}
+
+/// Validates a platform failure rate `λ`: strictly positive, finite, and
+/// with a finite reciprocal `1/λ` — the one rate check shared by every
+/// closed form, cost table and instance builder of the workspace.
+///
+/// # Errors
+///
+/// [`ExpectationError::NonFiniteParameter`] or
+/// [`ExpectationError::NonPositiveParameter`] for a non-finite or
+/// non-positive `lambda`, and [`ExpectationError::RateTooSmall`] when `1/λ`
+/// overflows (every solver would otherwise report an infinite makespan).
+///
+/// # Example
+///
+/// ```
+/// use ckpt_expectation::{validate_rate, ExpectationError};
+///
+/// assert_eq!(validate_rate(1e-4), Ok(1e-4));
+/// assert_eq!(validate_rate(1e-310), Err(ExpectationError::RateTooSmall { value: 1e-310 }));
+/// ```
+pub fn validate_rate(lambda: f64) -> Result<f64, ExpectationError> {
+    let lambda = ensure_positive("lambda", lambda)?;
+    if !(1.0 / lambda).is_finite() {
+        return Err(ExpectationError::RateTooSmall { value: lambda });
+    }
+    Ok(lambda)
 }
 
 pub(crate) fn ensure_non_negative(name: &'static str, value: f64) -> Result<f64, ExpectationError> {
@@ -123,6 +160,21 @@ mod tests {
         assert!(ensure_fraction("x", 0.5).is_ok());
         assert!(ensure_fraction("x", 1.5).is_err());
         assert!(ensure_fraction("x", f64::NAN).is_err());
+        assert_eq!(validate_rate(1e-308), Ok(1e-308));
+        for lambda in [5e-309, 1e-310, 1e-320, 5e-324] {
+            assert_eq!(
+                validate_rate(lambda),
+                Err(ExpectationError::RateTooSmall { value: lambda })
+            );
+        }
+        assert!(matches!(
+            validate_rate(0.0),
+            Err(ExpectationError::NonPositiveParameter { name: "lambda", .. })
+        ));
+        assert!(matches!(
+            validate_rate(f64::NAN),
+            Err(ExpectationError::NonFiniteParameter { .. })
+        ));
     }
 
     #[test]

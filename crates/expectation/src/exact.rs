@@ -18,7 +18,7 @@
 //! independent cross-check (`expected_time_via_recursion`), and a
 //! numerically-careful variant for very small `λ(W+C)` products.
 
-use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::error::{ensure_non_negative, ensure_positive, validate_rate, ExpectationError};
 
 /// Parameters of one "work + checkpoint" attempt (Proposition 1).
 ///
@@ -59,7 +59,7 @@ impl ExecutionParams {
             checkpoint: ensure_non_negative("checkpoint", checkpoint)?,
             downtime: ensure_non_negative("downtime", downtime)?,
             recovery: ensure_non_negative("recovery", recovery)?,
-            lambda: ensure_positive("lambda", lambda)?,
+            lambda: validate_rate(lambda)?,
         })
     }
 

@@ -62,7 +62,7 @@ pub mod sweep;
 pub mod waste;
 pub mod workload;
 
-pub use error::ExpectationError;
+pub use error::{validate_rate, ExpectationError};
 pub use exact::{expected_lost, expected_recovery, expected_time, ExecutionParams};
 pub use overhead::OverheadModel;
 pub use storage::{LevelledCostTable, StorageLevel, StorageLevels};

@@ -10,7 +10,7 @@
 //! periods.
 
 use crate::approximations::{daly_period, periodic_divisible_makespan, young_period};
-use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::error::{ensure_non_negative, ensure_positive, validate_rate, ExpectationError};
 use crate::exact::{expected_time, ExecutionParams};
 use crate::numeric::golden_section_min;
 
@@ -45,7 +45,7 @@ pub fn optimal_period(
     let c = ensure_positive("checkpoint", checkpoint)?;
     let d = ensure_non_negative("downtime", downtime)?;
     let r = ensure_non_negative("recovery", recovery)?;
-    let l = ensure_positive("lambda", lambda)?;
+    let l = validate_rate(lambda)?;
 
     let cost = |w: f64| {
         let params = ExecutionParams::new(w, c, d, r, l).expect("validated above");

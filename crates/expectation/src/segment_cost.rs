@@ -31,13 +31,13 @@
 //!
 //! The table additionally precomputes the suffix minima of the segment-term
 //! "slopes" `e^{λ(prefix[j+1]+C_j)}`, which give the chain DP a monotone lower
-//! bound for pruning its inner loop, and exposes the slope/query-point
-//! decomposition `T(x, j) = slope(j)·query_point(x) − coefficient(x)` used by
-//! the `O(n log n)` divide-and-conquer solver.
+//! bound for pruning its inner loop, and exposes the line decomposition
+//! `T(x, j) = slope(j)·query_point(x) − query_offset(x)` used by the blocked
+//! envelope solver.
 
 use std::sync::Arc;
 
-use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::error::{ensure_non_negative, ensure_positive, validate_rate, ExpectationError};
 
 /// Below this exponent `λ(W+C)`, `e^a·e^b·e^c − 1` loses too many bits to
 /// cancellation and the table falls back to `exp_m1`. At the threshold the
@@ -100,12 +100,16 @@ pub struct SegmentCostTable {
     exp_ckpt: Vec<f64>,
     /// `e^{λ·R_x}·(1/λ + D)` where `R_x` protects the segment starting at `x`.
     coeff: Vec<f64>,
-    /// `min_{k ≥ j} e^{λ(prefix[k+1] + C_k)}` (empty in saturated mode).
+    /// `min_{k ≥ j} e^{λ(prefix[k+1] + C_k)}`, or the minimum of the
+    /// exponent `λ(prefix[k+1] + C_k)` itself when `log_bound`.
     min_slope_suffix: Vec<f64>,
-    /// `min_{k ≥ j} λ(prefix[k+1] + C_k)` (always present; used by the
-    /// saturated pruning bound).
-    min_log_slope_suffix: Vec<f64>,
     saturated: bool,
+    /// Whether the pruning bound is evaluated as `exp_m1` of the log-slope
+    /// minimum rather than as a product minus one: on saturated tables (no
+    /// precomputed exponentials) and on tiny-exponent tables
+    /// (`λ(W + C_max) < SMALL_EXPONENT`), where the product is `1 + O(ε)`
+    /// and the bound would be off by `≈ ε/λ`, more than a checkpoint costs.
+    log_bound: bool,
 }
 
 impl SegmentCostTable {
@@ -118,9 +122,10 @@ impl SegmentCostTable {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExpectationError`] if `lambda` is not strictly positive,
-    /// `downtime` is negative, any weight is not strictly positive, or any
-    /// checkpoint/recovery cost is negative.
+    /// Returns an [`ExpectationError`] if `lambda` fails
+    /// [`validate_rate`], `downtime` is negative, any
+    /// weight is not strictly positive, or any checkpoint/recovery cost is
+    /// negative.
     ///
     /// # Panics
     ///
@@ -133,7 +138,7 @@ impl SegmentCostTable {
         checkpoints: &[f64],
         recoveries: &[f64],
     ) -> Result<Self, ExpectationError> {
-        let lambda = ensure_positive("lambda", lambda)?;
+        let lambda = validate_rate(lambda)?;
         let (downtime, prefix, max_ckpt) =
             validate_order(downtime, weights, checkpoints, recoveries)?;
         Ok(Self::from_validated_parts(
@@ -164,26 +169,26 @@ impl SegmentCostTable {
         let base = 1.0 / lambda + downtime;
         let coeff: Vec<f64> = recoveries.iter().map(|&r| (lambda * r).exp() * base).collect();
 
-        let saturated = lambda * (prefix[n] + max_ckpt) > MAX_SAFE_EXPONENT;
-        let (exp_prefix, inv_exp_prefix, exp_ckpt, min_slope_suffix) = if saturated {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
+        let max_exponent = lambda * (prefix[n] + max_ckpt);
+        let saturated = max_exponent > MAX_SAFE_EXPONENT;
+        let log_bound = saturated || max_exponent < SMALL_EXPONENT;
+        let (exp_prefix, inv_exp_prefix, exp_ckpt) = if saturated {
+            (Vec::new(), Vec::new(), Vec::new())
         } else {
             let exp_prefix: Vec<f64> = prefix.iter().map(|&p| (lambda * p).exp()).collect();
             let inv_exp_prefix: Vec<f64> = exp_prefix.iter().map(|&e| 1.0 / e).collect();
             let exp_ckpt: Vec<f64> = checkpoints.iter().map(|&c| (lambda * c).exp()).collect();
-            let mut min_slope_suffix = vec![0.0f64; n];
-            let mut running = f64::INFINITY;
-            for j in (0..n).rev() {
-                running = running.min(exp_prefix[j + 1] * exp_ckpt[j]);
-                min_slope_suffix[j] = running;
-            }
-            (exp_prefix, inv_exp_prefix, exp_ckpt, min_slope_suffix)
+            (exp_prefix, inv_exp_prefix, exp_ckpt)
         };
-        let mut min_log_slope_suffix = vec![0.0f64; n];
+        let mut min_slope_suffix = vec![0.0f64; n];
         let mut running = f64::INFINITY;
         for j in (0..n).rev() {
-            running = running.min(lambda * (prefix[j + 1] + checkpoints[j]));
-            min_log_slope_suffix[j] = running;
+            running = running.min(if log_bound {
+                lambda * (prefix[j + 1] + checkpoints[j])
+            } else {
+                exp_prefix[j + 1] * exp_ckpt[j]
+            });
+            min_slope_suffix[j] = running;
         }
 
         SegmentCostTable {
@@ -195,8 +200,8 @@ impl SegmentCostTable {
             exp_ckpt,
             coeff,
             min_slope_suffix,
-            min_log_slope_suffix,
             saturated,
+            log_bound,
         }
     }
 
@@ -317,18 +322,25 @@ impl SegmentCostTable {
         coefficient: f64,
     ) -> f64 {
         debug_assert!(x <= j && j < self.len());
-        if self.saturated {
-            coefficient * (self.min_log_slope_suffix[j] - self.lambda * self.prefix[x]).exp_m1()
+        if self.log_bound {
+            coefficient * (self.min_slope_suffix[j] - self.lambda * self.prefix[x]).exp_m1()
         } else {
             coefficient * (self.min_slope_suffix[j] * self.inv_exp_prefix[x] - 1.0)
         }
     }
 
     /// The "query point" `t_x = e^{λR_x}(1/λ + D)·e^{−λ·prefix[x]}` of
-    /// position `x`: [`cost`]`(x, j) = `[`slope`]`(j)·t_x − `
-    /// [`coefficient`]`(x) + `[`slope`]-independent terms — i.e. for fixed
-    /// `x` the segment cost is **linear** in the slope, which is what the
-    /// divide-and-conquer solver exploits.
+    /// position `x`. For fixed `x` the segment cost is **linear** in the
+    /// [`slope`] of its end `j`:
+    ///
+    /// ```text
+    /// cost(x, j) = slope(j)·t_x − query_offset(x)
+    ///            = t_x·(e^{λ(prefix[j+1]+C_j)} − 1) − t_x·(e^{λ·prefix[x]} − 1)
+    /// ```
+    ///
+    /// which is what the blocked envelope solver exploits. Both "− 1" shifts
+    /// keep every term of the order of the segment cost itself rather than
+    /// `1/λ`, so the line form does not cancel at tiny `λ`.
     ///
     /// # Panics
     ///
@@ -337,15 +349,26 @@ impl SegmentCostTable {
     ///
     /// [`cost`]: SegmentCostTable::cost
     /// [`slope`]: SegmentCostTable::slope
-    /// [`coefficient`]: SegmentCostTable::coefficient
     /// [`is_saturated`]: SegmentCostTable::is_saturated
     pub fn query_point(&self, x: usize) -> f64 {
         debug_assert!(!self.saturated, "query points overflow on saturated tables");
         self.coeff[x] * self.inv_exp_prefix[x]
     }
 
-    /// The "slope" `e^{λ(prefix[j+1]+C_j)}` of a segment ending at `j` (see
-    /// [`query_point`](SegmentCostTable::query_point)).
+    /// The offset `t_x·(e^{λ·prefix[x]} − 1)` subtracted from position `x`'s
+    /// line values (see [`query_point`](SegmentCostTable::query_point)).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) when the table
+    /// [`is_saturated`](SegmentCostTable::is_saturated).
+    pub fn query_offset(&self, x: usize) -> f64 {
+        let shift = expm1_or_product(self.lambda * self.prefix[x], || self.exp_prefix[x]);
+        self.query_point(x) * shift
+    }
+
+    /// The "slope" `e^{λ(prefix[j+1]+C_j)} − 1` of a segment ending at `j`
+    /// (see [`query_point`](SegmentCostTable::query_point)).
     ///
     /// # Panics
     ///
@@ -353,7 +376,9 @@ impl SegmentCostTable {
     /// [`is_saturated`](SegmentCostTable::is_saturated).
     pub fn slope(&self, j: usize) -> f64 {
         debug_assert!(!self.saturated, "slopes overflow on saturated tables");
-        self.exp_prefix[j + 1] * self.exp_ckpt[j]
+        expm1_or_product(self.lambda * (self.prefix[j + 1] + self.ckpt[j]), || {
+            self.exp_prefix[j + 1] * self.exp_ckpt[j]
+        })
     }
 
     /// A lower bound on [`cost`]`(x, j′)` valid for **every** `j′ ≥ j`, and
@@ -366,15 +391,22 @@ impl SegmentCostTable {
     /// is exactly the segment cost at `j`, i.e. the pruning is tight.
     ///
     /// The bound is computed in floating point and may exceed the true
-    /// infimum by a few ulps — callers should treat it as a pruning
-    /// heuristic with strict comparison, which can only affect optima by a
-    /// comparable relative error.
+    /// infimum by rounding error. In the product form
+    /// `coeff(x)·(min_slope·e^{−λ·prefix[x]} − 1)` that error is a few ulps
+    /// of `coeff(x) ≈ 1/λ` in **absolute** terms, not a few ulps of the
+    /// segment cost: at tiny `λ·W` it exceeds a whole checkpoint cost and
+    /// would prune the optimum. The table therefore evaluates the bound as
+    /// `coeff(x)·exp_m1(min_log_slope − λ·prefix[x])` whenever
+    /// `λ(W + C_max)` is below the tiny-exponent threshold (and on saturated
+    /// tables); above it `1/λ < 100·(W + C_max)`, so the excess stays below
+    /// `≈ 10⁻¹³` of the total work. Callers should treat the bound as a
+    /// pruning heuristic with strict comparison.
     ///
     /// [`cost`]: SegmentCostTable::cost
     pub fn segment_lower_bound(&self, x: usize, j: usize) -> f64 {
         debug_assert!(x <= j && j < self.len());
-        if self.saturated {
-            self.coeff[x] * (self.min_log_slope_suffix[j] - self.lambda * self.prefix[x]).exp_m1()
+        if self.log_bound {
+            self.coeff[x] * (self.min_slope_suffix[j] - self.lambda * self.prefix[x]).exp_m1()
         } else {
             self.coeff[x] * (self.min_slope_suffix[j] * self.inv_exp_prefix[x] - 1.0)
         }
@@ -413,6 +445,17 @@ impl SegmentCostTable {
             }
         }
         total
+    }
+}
+
+/// `e^z − 1` for an exponent `z` whose exponential the table already holds
+/// as `product`: `exp_m1` below [`SMALL_EXPONENT`], where `product − 1`
+/// cancels, the exp-free product otherwise.
+fn expm1_or_product(z: f64, product: impl FnOnce() -> f64) -> f64 {
+    if z < SMALL_EXPONENT {
+        z.exp_m1()
+    } else {
+        product() - 1.0
     }
 }
 
@@ -591,10 +634,35 @@ mod tests {
         let table = SegmentCostTable::new(5e-4, 12.0, &weights, &ckpt, &rec).unwrap();
         for x in 0..4 {
             for j in x..4 {
-                let via_line = table.slope(j) * table.query_point(x) - table.coefficient(x);
+                let via_line = table.slope(j) * table.query_point(x) - table.query_offset(x);
                 assert!(
                     relative_gap(via_line, table.cost(x, j)) < 1e-9,
                     "decomposition mismatch at ({x}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_exponent_bound_and_line_form_do_not_cancel() {
+        // λ·W = 1e-15: products like e^{λP}·e^{−λP'} are 1 + O(ε), so a
+        // bound or line value formed as "product − 1" times 1/λ would be off
+        // by ≈ ε/λ ≈ 10³ s, far more than the 10 s checkpoint.
+        let n = 50;
+        let lambda = 1e-15 / (100.0 * n as f64);
+        let table =
+            SegmentCostTable::new(lambda, 1.0, &vec![100.0; n], &vec![10.0; n], &vec![5.0; n])
+                .unwrap();
+        for x in 0..n {
+            for j in x..n {
+                let cost = table.cost(x, j);
+                let bound = table.segment_lower_bound(x, j);
+                assert!(bound <= cost * (1.0 + 1e-12), "bound {bound} vs cost({x}, {j}) {cost}");
+                assert!(relative_gap(bound, cost) < 1e-12, "uniform bound not tight at ({x}, {j})");
+                let via_line = table.slope(j) * table.query_point(x) - table.query_offset(x);
+                assert!(
+                    relative_gap(via_line, cost) < 1e-9,
+                    "line form {via_line} vs cost({x}, {j}) {cost}"
                 );
             }
         }

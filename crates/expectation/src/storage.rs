@@ -45,7 +45,7 @@
 
 use std::sync::Arc;
 
-use crate::error::{ensure_positive, ExpectationError};
+use crate::error::{ensure_positive, validate_rate, ExpectationError};
 use crate::segment_cost::{validate_order, SegmentCostTable};
 
 /// One storage level: multiplicative write/read cost factors over the
@@ -242,7 +242,7 @@ impl LevelledCostTable {
         recoveries: &[f64],
         levels: StorageLevels,
     ) -> Result<Self, ExpectationError> {
-        let lambda = ensure_positive("lambda", lambda)?;
+        let lambda = validate_rate(lambda)?;
         let (downtime, prefix, _) = validate_order(downtime, weights, checkpoints, recoveries)?;
         let prefix = Arc::new(prefix);
         let tables = levels

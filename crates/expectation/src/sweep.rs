@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use crate::error::{ensure_positive, ExpectationError};
+use crate::error::{ensure_positive, validate_rate, ExpectationError};
 use crate::segment_cost::SegmentCostTable;
 
 /// The λ-independent part of a [`SegmentCostTable`]: one fixed execution
@@ -139,7 +139,7 @@ impl LambdaSweep {
     /// Returns an [`ExpectationError`] if `lambda` is not strictly positive
     /// and finite.
     pub fn table_for(&self, lambda: f64) -> Result<SegmentCostTable, ExpectationError> {
-        let lambda = ensure_positive("lambda", lambda)?;
+        let lambda = validate_rate(lambda)?;
         Ok(SegmentCostTable::from_validated_parts(
             lambda,
             self.downtime,
@@ -191,7 +191,7 @@ impl LambdaSweep {
         lambdas
             .iter()
             .map(|&lambda| {
-                let lambda = ensure_positive("lambda", lambda)?;
+                let lambda = validate_rate(lambda)?;
                 let base = 1.0 / lambda + self.downtime;
                 Ok(segments
                     .iter()

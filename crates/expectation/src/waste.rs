@@ -10,7 +10,7 @@
 //! the classical first-order optimal waste `√(2λC)`, and helpers used by
 //! experiment E6 to discuss the scaling scenarios.
 
-use crate::error::{ensure_non_negative, ensure_positive, ExpectationError};
+use crate::error::{ensure_non_negative, ensure_positive, validate_rate, ExpectationError};
 use crate::exact::{expected_time, ExecutionParams};
 
 /// A waste decomposition for a periodic execution.
@@ -47,7 +47,7 @@ pub fn waste_breakdown(
     let checkpoint = ensure_non_negative("checkpoint", checkpoint)?;
     ensure_non_negative("downtime", downtime)?;
     ensure_non_negative("recovery", recovery)?;
-    ensure_positive("lambda", lambda)?;
+    validate_rate(lambda)?;
 
     let params = ExecutionParams::new(period, checkpoint, downtime, recovery, lambda)?;
     let expected = expected_time(&params);
@@ -66,7 +66,7 @@ pub fn waste_breakdown(
 /// Returns an error if `checkpoint ≤ 0` or `lambda ≤ 0`.
 pub fn first_order_optimal_waste(checkpoint: f64, lambda: f64) -> Result<f64, ExpectationError> {
     let c = ensure_positive("checkpoint", checkpoint)?;
-    let l = ensure_positive("lambda", lambda)?;
+    let l = validate_rate(lambda)?;
     Ok((2.0 * l * c).sqrt())
 }
 

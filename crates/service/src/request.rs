@@ -13,7 +13,7 @@ use ckpt_core::evaluate::lambda_sweep_for_order;
 use ckpt_core::ProblemInstance;
 use ckpt_dag::properties;
 use ckpt_expectation::sweep::LambdaSweep;
-use ckpt_expectation::ExpectationError;
+use ckpt_expectation::validate_rate;
 
 use crate::error::ServiceError;
 
@@ -116,10 +116,11 @@ impl PlanRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Invalid`] if `lambda` is not strictly
-    /// positive and finite.
+    /// Returns [`ServiceError::Invalid`] if `lambda` fails
+    /// [`validate_rate`]: not strictly positive and finite, or so small that
+    /// `1/λ` overflows.
     pub fn plan(id: u64, instance: PlanInstance, lambda: f64) -> Result<Self, ServiceError> {
-        ensure_rate(lambda)?;
+        validate_rate(lambda)?;
         Ok(PlanRequest { id, instance, lambda, resume_from: 0 })
     }
 
@@ -140,7 +141,7 @@ impl PlanRequest {
         lambda: f64,
         resume_from: usize,
     ) -> Result<Self, ServiceError> {
-        ensure_rate(lambda)?;
+        validate_rate(lambda)?;
         if resume_from == 0 || resume_from >= instance.len() {
             return Err(ServiceError::ResumeOutOfRange { resume_from, len: instance.len() });
         }
@@ -166,16 +167,6 @@ impl PlanRequest {
     pub fn resume_from(&self) -> usize {
         self.resume_from
     }
-}
-
-fn ensure_rate(lambda: f64) -> Result<(), ServiceError> {
-    if !lambda.is_finite() {
-        return Err(ExpectationError::NonFiniteParameter { name: "lambda", value: lambda }.into());
-    }
-    if lambda <= 0.0 {
-        return Err(ExpectationError::NonPositiveParameter { name: "lambda", value: lambda }.into());
-    }
-    Ok(())
 }
 
 /// How the planner produced a response.
