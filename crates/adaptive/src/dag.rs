@@ -50,7 +50,7 @@ use ckpt_dag::subgraph::{suffix_subgraph, SuffixSubgraph};
 use ckpt_dag::{linearize, topo, TaskId};
 use ckpt_expectation::sweep::LambdaSweep;
 use ckpt_simulator::{
-    ChainTask, DagDecision, DagDecisionContext, DagPolicy, DagPolicyMonteCarloOutcome,
+    ChainTask, DagDecision, DagDecisionContext, DagPolicy, PolicyMonteCarloOutcome,
 };
 
 use crate::error::AdaptiveError;
@@ -651,7 +651,7 @@ pub fn compare_dag_policies(
 
 fn dag_result_row(
     policy: &'static str,
-    outcome: &DagPolicyMonteCarloOutcome,
+    outcome: &PolicyMonteCarloOutcome,
     clairvoyant_makespan: f64,
 ) -> DagPolicyResult {
     DagPolicyResult {
@@ -675,7 +675,7 @@ fn run_dag_policy<P>(
     config: &EvaluationConfig,
     order: &[usize],
     prototype: &P,
-) -> Result<DagPolicyMonteCarloOutcome, AdaptiveError>
+) -> Result<PolicyMonteCarloOutcome, AdaptiveError>
 where
     P: DagPolicy + Clone + Sync,
 {
@@ -743,7 +743,7 @@ mod tests {
         order: &[usize],
         policy: &mut P,
         stream: &mut dyn ckpt_simulator::FailureStream,
-    ) -> ckpt_simulator::DagPolicyLoggedExecution {
+    ) -> ckpt_simulator::PolicyLoggedExecution {
         simulate_dag_policy_with_log(
             spec.tasks(),
             order,

@@ -504,7 +504,8 @@ where
 
 /// One execution episode: job `j` runs on `machine` (with an optional standby
 /// `buddy`) from `start` until it completes or migrates away. Mirrors the
-/// chain engine's `policy_core` loop exactly on the restart path.
+/// simulator's policy engine (`simulate_dag_policy`, which also runs every
+/// chain policy) exactly on the restart path.
 #[allow(clippy::too_many_arguments)] // flat engine state, one call site
 fn run_episode<S, P>(
     jobs: &[ClusterJob],

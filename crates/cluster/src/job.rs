@@ -122,7 +122,7 @@ pub struct JobRecord {
     /// Checkpoints taken, the mandatory final one included.
     pub checkpoints: u64,
     /// Plan consultations (one per non-final task boundary reached,
-    /// re-executions included) — mirrors the chain engine's counter.
+    /// re-executions included) — mirrors the policy engine's `decisions`.
     pub decisions: u64,
     /// Time spent in the ready queue (arrival wait, migration re-admission,
     /// retry backoff).

@@ -11,9 +11,10 @@
 //! migrating the checkpoint, or failing over to a warm replica; when every
 //! machine is down, jobs queue gracefully and finish after repairs.
 //!
-//! The engine shares its §2 inner loop with the single-machine chain engine
-//! (the simulator's `rollback` helpers), so a degenerate one-machine cluster
-//! reproduces [`simulate_policy`](ckpt_simulator::simulate_policy)
+//! The engine shares its §2 inner loop with the simulator's single-machine
+//! policy engine (the simulator's `rollback` helpers), which runs a chain as
+//! the DAG engine on the identity order. A degenerate one-machine cluster
+//! therefore reproduces [`simulate_policy`](ckpt_simulator::simulate_policy)
 //! **bitwise** — the cluster tier provably generalises the validated chain
 //! tier rather than re-implementing it.
 //!

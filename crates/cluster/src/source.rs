@@ -6,9 +6,9 @@
 //! [`ClusterFailureInjector`] (correlated shocks, repair intervals); the
 //! [`ExponentialMachineSource`] wraps one independent [`ExponentialStream`]
 //! per machine with instantaneous repair, reproducing the exact stream
-//! semantics of the single-machine chain engine — it exists so the
-//! degenerate single-machine cluster run can be compared **bitwise** against
-//! [`simulate_policy`](ckpt_simulator::simulate_policy).
+//! semantics of the simulator's single-machine policy engine — it exists so
+//! the degenerate single-machine cluster run can be compared **bitwise**
+//! against [`simulate_policy`](ckpt_simulator::simulate_policy).
 
 use ckpt_failure::ClusterFailureInjector;
 use ckpt_simulator::{ExponentialStream, FailureStream};

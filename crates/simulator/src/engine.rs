@@ -2,6 +2,8 @@
 //! stream, applying the §2 rollback-recovery semantics.
 
 use crate::error::SimulationError;
+use crate::event_log::{EventSink, ExecutionEvent};
+use crate::rollback::{run_phase, PhaseOutcome};
 use crate::segment::Segment;
 use crate::stream::FailureStream;
 
@@ -69,6 +71,21 @@ pub fn simulate<S: FailureStream + ?Sized>(
     downtime: f64,
     stream: &mut S,
 ) -> Result<ExecutionRecord, SimulationError> {
+    simulate_into(segments, downtime, stream, &mut ())
+}
+
+/// The fixed-schedule loop behind [`simulate`] and
+/// [`crate::event_log::simulate_with_log`], sending its events to `log`.
+pub(crate) fn simulate_into<S, L>(
+    segments: &[Segment],
+    downtime: f64,
+    stream: &mut S,
+    log: &mut L,
+) -> Result<ExecutionRecord, SimulationError>
+where
+    S: FailureStream + ?Sized,
+    L: EventSink,
+{
     if segments.is_empty() {
         return Err(SimulationError::EmptySchedule);
     }
@@ -80,72 +97,43 @@ pub fn simulate<S: FailureStream + ?Sized>(
     let mut failures = 0u64;
     let mut breakdown = TimeBreakdown::default();
 
-    for segment in segments {
-        let attempt = segment.attempt_duration();
+    for (segment, s) in segments.iter().enumerate() {
+        let (attempt, recovery) = (s.attempt_duration(), s.recovery());
         loop {
+            log.record(ExecutionEvent::AttemptStarted { segment, time: clock });
             // Attempt the segment's work + checkpoint.
-            match stream.next_failure_after(clock) {
-                Some(failure_time) if failure_time < clock + attempt => {
-                    // Failure during work or checkpoint.
+            let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, attempt) else {
+                // No failure before the attempt completes (or stream
+                // exhausted): the segment succeeds.
+                breakdown.useful += attempt;
+                log.record(ExecutionEvent::SegmentCompleted { segment, time: clock });
+                break;
+            };
+            // Failure during work or checkpoint, then a failure-free downtime.
+            failures += 1;
+            log.record(ExecutionEvent::Failure { segment, time: at, wasted: at - clock });
+            breakdown.lost += at - clock;
+            clock = at + downtime;
+            breakdown.downtime += downtime;
+            log.record(ExecutionEvent::DowntimeCompleted { segment, time: clock });
+            // Recovery: may itself be interrupted. Then re-attempt the whole
+            // segment.
+            if recovery > 0.0 {
+                while let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, recovery) {
                     failures += 1;
-                    breakdown.lost += failure_time - clock;
-                    clock = failure_time;
-                    // Downtime: failure-free by definition.
+                    log.record(ExecutionEvent::Failure { segment, time: at, wasted: at - clock });
+                    breakdown.recovery += at - clock;
+                    clock = at + downtime;
                     breakdown.downtime += downtime;
-                    clock += downtime;
-                    // Recovery: may itself be interrupted.
-                    perform_recovery(
-                        segment.recovery(),
-                        downtime,
-                        stream,
-                        &mut clock,
-                        &mut failures,
-                        &mut breakdown,
-                    );
-                    // Re-attempt the whole segment.
+                    log.record(ExecutionEvent::DowntimeCompleted { segment, time: clock });
                 }
-                _ => {
-                    // No failure before the attempt completes (or stream
-                    // exhausted): the segment succeeds.
-                    breakdown.useful += attempt;
-                    clock += attempt;
-                    break;
-                }
+                breakdown.recovery += recovery;
+                log.record(ExecutionEvent::RecoveryCompleted { segment, time: clock });
             }
         }
     }
 
     Ok(ExecutionRecord { makespan: clock, failures, breakdown })
-}
-
-/// Performs (possibly repeatedly interrupted) recovery of cost `recovery`.
-fn perform_recovery<S: FailureStream + ?Sized>(
-    recovery: f64,
-    downtime: f64,
-    stream: &mut S,
-    clock: &mut f64,
-    failures: &mut u64,
-    breakdown: &mut TimeBreakdown,
-) {
-    if recovery == 0.0 {
-        return;
-    }
-    loop {
-        match stream.next_failure_after(*clock) {
-            Some(failure_time) if failure_time < *clock + recovery => {
-                *failures += 1;
-                breakdown.recovery += failure_time - *clock;
-                *clock = failure_time;
-                breakdown.downtime += downtime;
-                *clock += downtime;
-            }
-            _ => {
-                breakdown.recovery += recovery;
-                *clock += recovery;
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
-//! Instrumented simulation: the same execution semantics as
-//! [`crate::engine::simulate`], but producing a detailed event log.
+//! Instrumented simulation: [`crate::engine::simulate`]'s loop with logging
+//! on, producing a detailed event log.
 //!
 //! The event log is what an operator (or a debugging session) would want to
 //! look at: when each segment started, when failures struck, how long each
-//! downtime/recovery took, when checkpoints completed. The log-based runner is
-//! cross-checked against the plain engine in the tests — both must produce the
-//! same makespan and failure count for the same stream.
+//! downtime/recovery took, when checkpoints completed. The engine loops
+//! send their events to an `EventSink`: `()` for the plain runs, which
+//! therefore compile to no logging code, and a `Vec` for the logged ones.
 
+use crate::engine::simulate_into;
 use crate::error::SimulationError;
 use crate::segment::Segment;
 use crate::stream::FailureStream;
@@ -118,6 +119,25 @@ impl LoggedExecution {
     }
 }
 
+/// Where an engine loop sends its events.
+pub(crate) trait EventSink {
+    /// Records one event.
+    fn record(&mut self, event: ExecutionEvent);
+}
+
+/// The plain runs: events are dropped, and so is the code building them.
+impl EventSink for () {
+    #[inline(always)]
+    fn record(&mut self, _event: ExecutionEvent) {}
+}
+
+/// The logged runs: events are appended in chronological order.
+impl EventSink for Vec<ExecutionEvent> {
+    fn record(&mut self, event: ExecutionEvent) {
+        self.push(event);
+    }
+}
+
 /// Simulates `segments` with full event logging.
 ///
 /// # Errors
@@ -128,70 +148,9 @@ pub fn simulate_with_log<S: FailureStream + ?Sized>(
     downtime: f64,
     stream: &mut S,
 ) -> Result<LoggedExecution, SimulationError> {
-    if segments.is_empty() {
-        return Err(SimulationError::EmptySchedule);
-    }
-    if !downtime.is_finite() || downtime < 0.0 {
-        return Err(SimulationError::NegativeParameter { name: "downtime", value: downtime });
-    }
-
-    let mut clock = 0.0f64;
-    let mut failures = 0u64;
     let mut events = Vec::new();
-
-    for (index, segment) in segments.iter().enumerate() {
-        let attempt = segment.attempt_duration();
-        loop {
-            events.push(ExecutionEvent::AttemptStarted { segment: index, time: clock });
-            match stream.next_failure_after(clock) {
-                Some(failure_time) if failure_time < clock + attempt => {
-                    failures += 1;
-                    events.push(ExecutionEvent::Failure {
-                        segment: index,
-                        time: failure_time,
-                        wasted: failure_time - clock,
-                    });
-                    clock = failure_time + downtime;
-                    events.push(ExecutionEvent::DowntimeCompleted { segment: index, time: clock });
-                    // Recovery, possibly interrupted.
-                    if segment.recovery() > 0.0 {
-                        loop {
-                            match stream.next_failure_after(clock) {
-                                Some(f) if f < clock + segment.recovery() => {
-                                    failures += 1;
-                                    events.push(ExecutionEvent::Failure {
-                                        segment: index,
-                                        time: f,
-                                        wasted: f - clock,
-                                    });
-                                    clock = f + downtime;
-                                    events.push(ExecutionEvent::DowntimeCompleted {
-                                        segment: index,
-                                        time: clock,
-                                    });
-                                }
-                                _ => {
-                                    clock += segment.recovery();
-                                    events.push(ExecutionEvent::RecoveryCompleted {
-                                        segment: index,
-                                        time: clock,
-                                    });
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    clock += attempt;
-                    events.push(ExecutionEvent::SegmentCompleted { segment: index, time: clock });
-                    break;
-                }
-            }
-        }
-    }
-
-    Ok(LoggedExecution { makespan: clock, failures, events })
+    let record = simulate_into(segments, downtime, stream, &mut events)?;
+    Ok(LoggedExecution { makespan: record.makespan, failures: record.failures, events })
 }
 
 #[cfg(test)]
@@ -257,12 +216,7 @@ mod tests {
             let mut s2 = ExponentialStream::new(1.0 / 800.0, seed);
             let plain = simulate(&segments, 25.0, &mut s1).unwrap();
             let logged = simulate_with_log(&segments, 25.0, &mut s2).unwrap();
-            assert!(
-                (plain.makespan - logged.makespan).abs() < 1e-9,
-                "seed {seed}: {} vs {}",
-                plain.makespan,
-                logged.makespan
-            );
+            assert_eq!(plain.makespan.to_bits(), logged.makespan.to_bits(), "seed {seed}");
             assert_eq!(plain.failures, logged.failures, "seed {seed}");
         }
     }

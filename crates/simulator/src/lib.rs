@@ -68,14 +68,13 @@ pub use error::SimulationError;
 pub use event_log::{simulate_with_log, ExecutionEvent, LoggedExecution};
 pub use levelled::levelled_segments;
 pub use montecarlo::{
-    scatter_trials, scatter_trials_with, DagPolicyMonteCarloOutcome, MonteCarloOutcome,
-    PolicyMonteCarloOutcome, SimulationScenario,
+    scatter_trials, scatter_trials_with, MonteCarloOutcome, PolicyMonteCarloOutcome,
+    SimulationScenario,
 };
 pub use policy::{
     simulate_dag_policy, simulate_dag_policy_with_log, simulate_policy, simulate_policy_with_log,
-    ChainTask, DagDecision, DagDecisionContext, DagPolicy, DagPolicyExecutionRecord,
-    DagPolicyLoggedExecution, DecisionContext, Policy, PolicyExecutionRecord,
-    PolicyLoggedExecution,
+    ChainTask, DagDecision, DagDecisionContext, DagPolicy, DecisionContext, Policy,
+    PolicyExecutionRecord, PolicyLoggedExecution,
 };
 pub use segment::Segment;
 pub use stream::{ExponentialStream, FailureStream, PlatformStream, TraceStream};

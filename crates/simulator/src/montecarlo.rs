@@ -12,7 +12,7 @@ use ckpt_failure::{FailureDistribution, Pcg64, PlatformFailureProcess, RandomSou
 use crate::engine::{simulate, ExecutionRecord, TimeBreakdown};
 use crate::error::SimulationError;
 use crate::policy::{
-    simulate_dag_policy, simulate_policy, ChainTask, DagPolicy, DagPolicyExecutionRecord, Policy,
+    dag_policy_core, validate_order, ChainPolicy, ChainTask, DagPolicy, Policy,
     PolicyExecutionRecord,
 };
 use crate::segment::Segment;
@@ -309,8 +309,9 @@ impl SimulationScenario {
     }
 }
 
-/// Aggregated outcome of a **policy-driven** Monte-Carlo run
-/// (see [`SimulationScenario::run_policy`]).
+/// Aggregated outcome of a **policy-driven** Monte-Carlo run, chain or DAG
+/// (see [`SimulationScenario::run_policy`] and
+/// [`SimulationScenario::run_dag_policy`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyMonteCarloOutcome {
     /// Statistics of the makespan across trials.
@@ -320,6 +321,9 @@ pub struct PolicyMonteCarloOutcome {
     /// Statistics of the number of checkpoints the policy took per trial
     /// (the mandatory final checkpoint included).
     pub checkpoints: SampleStats,
+    /// Statistics of the number of suffix reorders per trial (all zero for
+    /// a chain [`Policy`]).
+    pub reorders: SampleStats,
     /// Mean time breakdown across trials.
     pub mean_breakdown: TimeBreakdown,
     /// The raw makespan observations (one per trial), in trial order.
@@ -331,7 +335,8 @@ impl SimulationScenario {
     /// fresh failure stream from the scenario's model (exactly as
     /// [`SimulationScenario::try_run`] does) and a fresh policy from
     /// `make_policy(trial)`, then executes `tasks` under
-    /// [`crate::policy::simulate_policy`].
+    /// [`crate::policy::simulate_policy`] — that is,
+    /// [`SimulationScenario::run_dag_policy`] on the identity order.
     ///
     /// Trials are spread across the scenario's worker threads with the same
     /// deterministic contiguous-chunk pattern as the fixed-schedule runner:
@@ -356,45 +361,9 @@ impl SimulationScenario {
         P: Policy,
         G: Fn(usize) -> P + Sync,
     {
-        if let FailureModel::Exponential { lambda } = self.model {
-            if !lambda.is_finite() || lambda <= 0.0 {
-                return Err(SimulationError::NonPositiveParameter {
-                    name: "lambda",
-                    value: lambda,
-                });
-            }
-        }
-        let root = Pcg64::seed_from_u64(self.seed);
-        self.policy_trials(tasks, |trial| {
-            let mut trial_rng = root.derive(trial as u64);
-            let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            match &self.model {
-                FailureModel::Exponential { lambda } => {
-                    let mut stream = ExponentialStream::new(*lambda, trial_seed);
-                    simulate_policy(
-                        tasks,
-                        initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
-                    )
-                }
-                FailureModel::Platform { processors, law } => {
-                    let proto = SharedLaw(std::sync::Arc::clone(law));
-                    let process =
-                        PlatformFailureProcess::homogeneous(*processors, proto, trial_seed)
-                            .expect("scenario constructors require at least one processor");
-                    let mut stream = PlatformStream::new(process);
-                    simulate_policy(
-                        tasks,
-                        initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
-                    )
-                }
-            }
+        let order: Vec<usize> = (0..tasks.len()).collect();
+        self.run_dag_policy(tasks, &order, initial_recovery, |trial| {
+            ChainPolicy(make_policy(trial))
         })
     }
 
@@ -423,86 +392,12 @@ impl SimulationScenario {
         S: FailureStream,
         F: Fn(usize, u64) -> S + Sync,
     {
-        let root = Pcg64::seed_from_u64(self.seed);
-        self.policy_trials(tasks, |trial| {
-            let mut trial_rng = root.derive(trial as u64);
-            let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            let mut stream = make_stream(trial, trial_seed);
-            simulate_policy(tasks, initial_recovery, self.downtime, &mut policy, &mut stream)
-        })
+        let order: Vec<usize> = (0..tasks.len()).collect();
+        let make_policy = |trial| ChainPolicy(make_policy(trial));
+        self.run_dag_policy_with_streams(tasks, &order, initial_recovery, make_policy, make_stream)
     }
 
-    /// The shared policy-trial driver: runs `run_trial` for every trial
-    /// index (chunked across workers exactly like
-    /// [`SimulationScenario::try_run`]) and aggregates strictly in trial
-    /// order.
-    fn policy_trials<R>(
-        &self,
-        tasks: &[ChainTask],
-        run_trial: R,
-    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
-    where
-        R: Fn(usize) -> Result<PolicyExecutionRecord, SimulationError> + Sync,
-    {
-        if tasks.is_empty() {
-            return Err(SimulationError::EmptySchedule);
-        }
-        if self.trials == 0 {
-            return Err(SimulationError::ZeroTrials);
-        }
-        let records = scatter_trials(self.trials, self.effective_threads(), run_trial);
-
-        let mut makespans = Vec::with_capacity(self.trials);
-        let mut failures = Vec::with_capacity(self.trials);
-        let mut checkpoints = Vec::with_capacity(self.trials);
-        let mut breakdown_sum = TimeBreakdown::default();
-        for slot in records {
-            let outcome = slot?;
-            makespans.push(outcome.record.makespan);
-            failures.push(outcome.record.failures as f64);
-            checkpoints.push(outcome.checkpoints as f64);
-            breakdown_sum.useful += outcome.record.breakdown.useful;
-            breakdown_sum.lost += outcome.record.breakdown.lost;
-            breakdown_sum.downtime += outcome.record.breakdown.downtime;
-            breakdown_sum.recovery += outcome.record.breakdown.recovery;
-        }
-        let n = self.trials as f64;
-        Ok(PolicyMonteCarloOutcome {
-            makespan: SampleStats::from_values(&makespans),
-            failures: SampleStats::from_values(&failures),
-            checkpoints: SampleStats::from_values(&checkpoints),
-            mean_breakdown: TimeBreakdown {
-                useful: breakdown_sum.useful / n,
-                lost: breakdown_sum.lost / n,
-                downtime: breakdown_sum.downtime / n,
-                recovery: breakdown_sum.recovery / n,
-            },
-            samples: makespans,
-        })
-    }
-}
-
-/// Aggregated outcome of a **policy-driven DAG** Monte-Carlo run
-/// (see [`SimulationScenario::run_dag_policy`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyMonteCarloOutcome {
-    /// Statistics of the makespan across trials.
-    pub makespan: SampleStats,
-    /// Statistics of the failure count across trials.
-    pub failures: SampleStats,
-    /// Statistics of the number of checkpoints taken per trial.
-    pub checkpoints: SampleStats,
-    /// Statistics of the number of suffix reorders per trial.
-    pub reorders: SampleStats,
-    /// Mean time breakdown across trials.
-    pub mean_breakdown: TimeBreakdown,
-    /// The raw makespan observations (one per trial), in trial order.
-    pub samples: Vec<f64>,
-}
-
-impl SimulationScenario {
-    /// The **DAG** twin of [`SimulationScenario::run_policy`]: each trial
+    /// The **DAG** form of [`SimulationScenario::run_policy`]: each trial
     /// builds a fresh failure stream from the scenario's model and a fresh
     /// [`DagPolicy`] from `make_policy(trial)`, then executes `tasks` in
     /// `order` under [`crate::policy::simulate_dag_policy`].
@@ -518,13 +413,15 @@ impl SimulationScenario {
     /// * [`SimulationError::ZeroTrials`] if the scenario has zero trials;
     /// * [`SimulationError::NonPositiveParameter`] for an invalid failure
     ///   rate.
+    ///
+    /// [`simulate_dag_policy`]: crate::policy::simulate_dag_policy
     pub fn run_dag_policy<P, G>(
         &self,
         tasks: &[ChainTask],
         order: &[usize],
         initial_recovery: f64,
         make_policy: G,
-    ) -> Result<DagPolicyMonteCarloOutcome, SimulationError>
+    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
     where
         P: DagPolicy,
         G: Fn(usize) -> P + Sync,
@@ -538,20 +435,23 @@ impl SimulationScenario {
             }
         }
         let root = Pcg64::seed_from_u64(self.seed);
-        self.dag_policy_trials(tasks, |trial| {
+        self.policy_trials(tasks, order, |trial, order| {
             let mut trial_rng = root.derive(trial as u64);
             let trial_seed = trial_rng.next_u64();
             let mut policy = make_policy(trial);
+            let downtime = self.downtime;
             match &self.model {
                 FailureModel::Exponential { lambda } => {
                     let mut stream = ExponentialStream::new(*lambda, trial_seed);
-                    simulate_dag_policy(
+                    let (policy, stream) = (&mut policy, &mut stream);
+                    dag_policy_core(
                         tasks,
                         order,
                         initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
+                        downtime,
+                        policy,
+                        stream,
+                        &mut (),
                     )
                 }
                 FailureModel::Platform { processors, law } => {
@@ -560,13 +460,15 @@ impl SimulationScenario {
                         PlatformFailureProcess::homogeneous(*processors, proto, trial_seed)
                             .expect("scenario constructors require at least one processor");
                     let mut stream = PlatformStream::new(process);
-                    simulate_dag_policy(
+                    let (policy, stream) = (&mut policy, &mut stream);
+                    dag_policy_core(
                         tasks,
                         order,
                         initial_recovery,
-                        self.downtime,
-                        &mut policy,
-                        &mut stream,
+                        downtime,
+                        policy,
+                        stream,
+                        &mut (),
                     )
                 }
             }
@@ -590,7 +492,7 @@ impl SimulationScenario {
         initial_recovery: f64,
         make_policy: G,
         make_stream: F,
-    ) -> Result<DagPolicyMonteCarloOutcome, SimulationError>
+    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
     where
         P: DagPolicy,
         G: Fn(usize) -> P + Sync,
@@ -598,40 +500,49 @@ impl SimulationScenario {
         F: Fn(usize, u64) -> S + Sync,
     {
         let root = Pcg64::seed_from_u64(self.seed);
-        self.dag_policy_trials(tasks, |trial| {
+        self.policy_trials(tasks, order, |trial, order| {
             let mut trial_rng = root.derive(trial as u64);
             let trial_seed = trial_rng.next_u64();
-            let mut policy = make_policy(trial);
-            let mut stream = make_stream(trial, trial_seed);
-            simulate_dag_policy(
-                tasks,
-                order,
-                initial_recovery,
-                self.downtime,
-                &mut policy,
-                &mut stream,
-            )
+            let (policy, stream) = (&mut make_policy(trial), &mut make_stream(trial, trial_seed));
+            let downtime = self.downtime;
+            dag_policy_core(tasks, order, initial_recovery, downtime, policy, stream, &mut ())
         })
     }
 
-    /// The shared DAG-policy trial driver: chunked across workers exactly
-    /// like [`SimulationScenario::try_run`], aggregated strictly in trial
-    /// order.
-    fn dag_policy_trials<R>(
+    /// The policy-trial driver behind every policy runner: validates `tasks`
+    /// and `order` once, runs `run_trial(trial, order)` for every trial index
+    /// (chunked across workers exactly like [`SimulationScenario::try_run`])
+    /// and aggregates strictly in trial order.
+    ///
+    /// Each worker hands the order buffer a trial finishes with to its next
+    /// trial, and keeps only the counts of each record, so a run allocates
+    /// no order per trial and holds no order per trial until aggregation.
+    fn policy_trials<R>(
         &self,
         tasks: &[ChainTask],
+        order: &[usize],
         run_trial: R,
-    ) -> Result<DagPolicyMonteCarloOutcome, SimulationError>
+    ) -> Result<PolicyMonteCarloOutcome, SimulationError>
     where
-        R: Fn(usize) -> Result<DagPolicyExecutionRecord, SimulationError> + Sync,
+        R: Fn(usize, Vec<usize>) -> Result<PolicyExecutionRecord, SimulationError> + Sync,
     {
-        if tasks.is_empty() {
-            return Err(SimulationError::EmptySchedule);
-        }
+        validate_order(tasks, order)?;
         if self.trials == 0 {
             return Err(SimulationError::ZeroTrials);
         }
-        let records = scatter_trials(self.trials, self.effective_threads(), run_trial);
+        let (records, _) = scatter_trials_with(
+            self.trials,
+            self.effective_threads(),
+            Vec::new,
+            |trial, buffer: &mut Vec<usize>| {
+                let mut trial_order = std::mem::take(buffer);
+                trial_order.clear();
+                trial_order.extend_from_slice(order);
+                let outcome = run_trial(trial, trial_order)?;
+                *buffer = outcome.final_order;
+                Ok::<_, SimulationError>((outcome.record, outcome.checkpoints, outcome.reorders))
+            },
+        );
 
         let mut makespans = Vec::with_capacity(self.trials);
         let mut failures = Vec::with_capacity(self.trials);
@@ -639,18 +550,18 @@ impl SimulationScenario {
         let mut reorders = Vec::with_capacity(self.trials);
         let mut breakdown_sum = TimeBreakdown::default();
         for slot in records {
-            let outcome = slot?;
-            makespans.push(outcome.record.makespan);
-            failures.push(outcome.record.failures as f64);
-            checkpoints.push(outcome.checkpoints as f64);
-            reorders.push(outcome.reorders as f64);
-            breakdown_sum.useful += outcome.record.breakdown.useful;
-            breakdown_sum.lost += outcome.record.breakdown.lost;
-            breakdown_sum.downtime += outcome.record.breakdown.downtime;
-            breakdown_sum.recovery += outcome.record.breakdown.recovery;
+            let (record, trial_checkpoints, trial_reorders) = slot?;
+            makespans.push(record.makespan);
+            failures.push(record.failures as f64);
+            checkpoints.push(trial_checkpoints as f64);
+            reorders.push(trial_reorders as f64);
+            breakdown_sum.useful += record.breakdown.useful;
+            breakdown_sum.lost += record.breakdown.lost;
+            breakdown_sum.downtime += record.breakdown.downtime;
+            breakdown_sum.recovery += record.breakdown.recovery;
         }
         let n = self.trials as f64;
-        Ok(DagPolicyMonteCarloOutcome {
+        Ok(PolicyMonteCarloOutcome {
             makespan: SampleStats::from_values(&makespans),
             failures: SampleStats::from_values(&failures),
             checkpoints: SampleStats::from_values(&checkpoints),

@@ -25,7 +25,9 @@
 //! checkpoint *and* swap in a new precedence-valid order for the unexecuted
 //! suffix — the "re-linearise the remaining graph after a failure" primitive
 //! the `ckpt-adaptive` DAG policies build on. The matching Monte-Carlo
-//! driver is [`crate::montecarlo`]'s `run_dag_policy`.
+//! driver is [`crate::montecarlo`]'s `run_dag_policy`. There is one engine:
+//! a chain is the DAG engine on the identity order, with the chain
+//! [`Policy`]'s answer as a decision that never reorders.
 //!
 //! Semantics (the §2 model at task granularity):
 //!
@@ -42,7 +44,7 @@
 
 use crate::engine::{ExecutionRecord, TimeBreakdown};
 use crate::error::{ensure_non_negative, SimulationError};
-use crate::event_log::ExecutionEvent;
+use crate::event_log::{EventSink, ExecutionEvent};
 use crate::rollback::{
     absorb_recovery_failure, absorb_run_failure, commit_run, run_phase, PhaseOutcome,
 };
@@ -150,7 +152,7 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
     }
 }
 
-/// The outcome of one policy-driven execution.
+/// The outcome of one policy-driven execution (chain or DAG).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyExecutionRecord {
     /// Makespan, failure count and time breakdown (the same buckets as the
@@ -162,6 +164,12 @@ pub struct PolicyExecutionRecord {
     /// Policy consultations (one per non-final task boundary reached,
     /// re-executions included).
     pub decisions: u64,
+    /// Decisions that swapped in a new suffix order (always 0 for a chain
+    /// [`Policy`]).
+    pub reorders: u64,
+    /// The order the execution finished with: the initial order with every
+    /// accepted suffix reorder applied (the identity for a chain).
+    pub final_order: Vec<usize>,
 }
 
 /// A policy-driven execution with its full event log.
@@ -171,12 +179,14 @@ pub struct PolicyLoggedExecution {
     pub outcome: PolicyExecutionRecord,
     /// The chronological event log; policy decisions appear as
     /// [`ExecutionEvent::PolicyDecision`] events. The `segment` index of
-    /// every event is the **task position** in the chain.
+    /// every event is the **order position** the event concerns (the task
+    /// position for a chain).
     pub events: Vec<ExecutionEvent>,
 }
 
 /// Simulates one policy-driven execution of `tasks` (see the module docs for
-/// the exact semantics).
+/// the exact semantics): the DAG engine ([`simulate_dag_policy`]) on the
+/// identity order, with `policy` never reordering.
 ///
 /// `initial_recovery` is the cost `R₀` of restoring the initial state
 /// (failures before the first checkpoint), `downtime` the failure-free
@@ -198,7 +208,9 @@ where
     P: Policy + ?Sized,
     S: FailureStream + ?Sized,
 {
-    policy_core(tasks, initial_recovery, downtime, policy, stream, None)
+    let order = (0..tasks.len()).collect();
+    let policy = &mut ChainPolicy(policy);
+    dag_policy_core(tasks, order, initial_recovery, downtime, policy, stream, &mut ())
 }
 
 /// [`simulate_policy`] with full event logging (decision events included).
@@ -218,182 +230,25 @@ where
     S: FailureStream + ?Sized,
 {
     let mut events = Vec::new();
+    let order = (0..tasks.len()).collect();
+    let policy = &mut ChainPolicy(policy);
     let outcome =
-        policy_core(tasks, initial_recovery, downtime, policy, stream, Some(&mut events))?;
+        dag_policy_core(tasks, order, initial_recovery, downtime, policy, stream, &mut events)?;
     Ok(PolicyLoggedExecution { outcome, events })
 }
 
-/// The engine shared by the plain and the logged entry points.
-fn policy_core<P, S>(
-    tasks: &[ChainTask],
-    initial_recovery: f64,
-    downtime: f64,
-    policy: &mut P,
-    stream: &mut S,
-    mut events: Option<&mut Vec<ExecutionEvent>>,
-) -> Result<PolicyExecutionRecord, SimulationError>
-where
-    P: Policy + ?Sized,
-    S: FailureStream + ?Sized,
-{
-    if tasks.is_empty() {
-        return Err(SimulationError::EmptySchedule);
+/// A chain [`Policy`] run as a [`DagPolicy`] that never reorders.
+pub(crate) struct ChainPolicy<P>(pub(crate) P);
+
+impl<P: Policy> DagPolicy for ChainPolicy<P> {
+    fn decide(&mut self, ctx: &DagDecisionContext<'_>) -> DagDecision {
+        DagDecision::keep_order(self.0.decide(&DecisionContext {
+            position: ctx.position,
+            clock: ctx.clock,
+            last_checkpoint: ctx.last_checkpoint,
+            failure_times: ctx.failure_times,
+        }))
     }
-    let downtime = ensure_non_negative("downtime", downtime)?;
-    let initial_recovery = ensure_non_negative("initial_recovery", initial_recovery)?;
-
-    let n = tasks.len();
-    let mut clock = 0.0f64;
-    let mut breakdown = TimeBreakdown::default();
-    let mut failure_times: Vec<f64> = Vec::new();
-    let mut last_checkpoint: Option<usize> = None;
-    // Start of the current uncheckpointed run: everything executed since is
-    // lost on failure, committed as useful when a checkpoint completes.
-    let mut run_start = 0.0f64;
-    let mut checkpoints = 0u64;
-    let mut decisions = 0u64;
-    let mut position = 0usize;
-
-    macro_rules! log {
-        ($event:expr) => {
-            if let Some(sink) = events.as_deref_mut() {
-                sink.push($event);
-            }
-        };
-    }
-
-    while position < n {
-        log!(ExecutionEvent::AttemptStarted { segment: position, time: clock });
-
-        // Work phase of the current task.
-        let work = tasks[position].work;
-        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, work) {
-            position = handle_failure(
-                last_checkpoint.map_or(initial_recovery, |k| tasks[k].recovery),
-                downtime,
-                at,
-                position,
-                last_checkpoint,
-                stream,
-                &mut clock,
-                &mut run_start,
-                &mut failure_times,
-                &mut breakdown,
-                &mut events,
-            );
-            continue;
-        }
-
-        // Decision point: the final task's checkpoint is mandatory (the
-        // model's final checkpoint), every other boundary asks the policy.
-        let take = if position + 1 == n {
-            true
-        } else {
-            decisions += 1;
-            let ctx =
-                DecisionContext { position, clock, last_checkpoint, failure_times: &failure_times };
-            let take = policy.decide(&ctx);
-            log!(ExecutionEvent::PolicyDecision {
-                segment: position,
-                time: clock,
-                checkpoint: take
-            });
-            take
-        };
-
-        if take {
-            let ckpt = tasks[position].checkpoint;
-            if ckpt > 0.0 {
-                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, ckpt) {
-                    position = handle_failure(
-                        last_checkpoint.map_or(initial_recovery, |k| tasks[k].recovery),
-                        downtime,
-                        at,
-                        position,
-                        last_checkpoint,
-                        stream,
-                        &mut clock,
-                        &mut run_start,
-                        &mut failure_times,
-                        &mut breakdown,
-                        &mut events,
-                    );
-                    continue;
-                }
-            }
-            // The checkpoint is durable: commit the run as useful time.
-            commit_run(clock, &mut run_start, &mut breakdown);
-            last_checkpoint = Some(position);
-            checkpoints += 1;
-            log!(ExecutionEvent::SegmentCompleted { segment: position, time: clock });
-        }
-        position += 1;
-    }
-
-    let failures = failure_times.len() as u64;
-    Ok(PolicyExecutionRecord {
-        record: ExecutionRecord { makespan: clock, failures, breakdown },
-        checkpoints,
-        decisions,
-    })
-}
-
-/// Failure at `failure_time` while executing work or checkpoint of the task
-/// at `position`: lose the run back to the last checkpoint, pay the
-/// failure-free downtime, recover (interruptibly — recovery failures pay
-/// another downtime and restart the recovery), and return the position
-/// execution resumes at. `recovery` is the cost of restoring the last
-/// durable state (the last checkpointed task's recovery, or `R₀`), resolved
-/// by the caller — the chain engine indexes `tasks` by position, the DAG
-/// engine through its execution order.
-#[allow(clippy::too_many_arguments)] // flat engine state, called from two engines
-fn handle_failure<S: FailureStream + ?Sized>(
-    recovery: f64,
-    downtime: f64,
-    failure_time: f64,
-    position: usize,
-    last_checkpoint: Option<usize>,
-    stream: &mut S,
-    clock: &mut f64,
-    run_start: &mut f64,
-    failure_times: &mut Vec<f64>,
-    breakdown: &mut TimeBreakdown,
-    events: &mut Option<&mut Vec<ExecutionEvent>>,
-) -> usize {
-    let mut log = |event: ExecutionEvent| {
-        if let Some(sink) = events.as_deref_mut() {
-            sink.push(event);
-        }
-    };
-    log(ExecutionEvent::Failure {
-        segment: position,
-        time: failure_time,
-        wasted: failure_time - *run_start,
-    });
-    absorb_run_failure(failure_time, downtime, clock, *run_start, failure_times, breakdown);
-    log(ExecutionEvent::DowntimeCompleted { segment: position, time: *clock });
-    if recovery > 0.0 {
-        loop {
-            match run_phase(stream, clock, recovery) {
-                PhaseOutcome::Failed { at } => {
-                    log(ExecutionEvent::Failure {
-                        segment: position,
-                        time: at,
-                        wasted: at - *clock,
-                    });
-                    absorb_recovery_failure(at, downtime, clock, failure_times, breakdown);
-                    log(ExecutionEvent::DowntimeCompleted { segment: position, time: *clock });
-                }
-                PhaseOutcome::Completed => {
-                    breakdown.recovery += recovery;
-                    log(ExecutionEvent::RecoveryCompleted { segment: position, time: *clock });
-                    break;
-                }
-            }
-        }
-    }
-    *run_start = *clock;
-    last_checkpoint.map_or(0, |k| k + 1)
 }
 
 /// What a DAG policy sees at a decision point (a just-completed task of the
@@ -494,34 +349,6 @@ impl<P: DagPolicy + ?Sized> DagPolicy for Box<P> {
     }
 }
 
-/// The outcome of one policy-driven DAG execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyExecutionRecord {
-    /// Makespan, failure count and time breakdown (same buckets as the
-    /// fixed-schedule engine).
-    pub record: ExecutionRecord,
-    /// Checkpoints taken, the mandatory final one included.
-    pub checkpoints: u64,
-    /// Policy consultations (one per non-final boundary reached,
-    /// re-executions included).
-    pub decisions: u64,
-    /// Decisions that swapped in a new suffix order.
-    pub reorders: u64,
-    /// The order the execution finished with (the initial order with every
-    /// accepted suffix reorder applied).
-    pub final_order: Vec<usize>,
-}
-
-/// A policy-driven DAG execution with its full event log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DagPolicyLoggedExecution {
-    /// The aggregate outcome.
-    pub outcome: DagPolicyExecutionRecord,
-    /// The chronological event log; the `segment` index of every event is
-    /// the **order position** the event concerns.
-    pub events: Vec<ExecutionEvent>,
-}
-
 /// Simulates one policy-driven execution of a linearised DAG: the tasks of
 /// `tasks` are executed in the order given by `order` (task indices), with
 /// the §2 rollback semantics of [`simulate_policy`] at the granularity of
@@ -532,8 +359,8 @@ pub struct DagPolicyLoggedExecution {
 /// failure rolls back to the position after the last durable checkpoint.
 /// Decisions may both toggle the next checkpoint and swap in a new order
 /// for the unexecuted suffix (see [`DagDecision`]); the engine verifies
-/// each proposed suffix is a permutation of the current one. A chain
-/// executed with the identity order reproduces [`simulate_policy`] exactly.
+/// each proposed suffix is a permutation of the current one.
+/// [`simulate_policy`] is this engine on the identity order.
 ///
 /// # Errors
 ///
@@ -550,12 +377,13 @@ pub fn simulate_dag_policy<P, S>(
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
-) -> Result<DagPolicyExecutionRecord, SimulationError>
+) -> Result<PolicyExecutionRecord, SimulationError>
 where
     P: DagPolicy + ?Sized,
     S: FailureStream + ?Sized,
 {
-    dag_policy_core(tasks, order, initial_recovery, downtime, policy, stream, None)
+    validate_order(tasks, order)?;
+    dag_policy_core(tasks, order.to_vec(), initial_recovery, downtime, policy, stream, &mut ())
 }
 
 /// [`simulate_dag_policy`] with full event logging (decision events
@@ -571,22 +399,38 @@ pub fn simulate_dag_policy_with_log<P, S>(
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
-) -> Result<DagPolicyLoggedExecution, SimulationError>
+) -> Result<PolicyLoggedExecution, SimulationError>
 where
     P: DagPolicy + ?Sized,
     S: FailureStream + ?Sized,
 {
+    validate_order(tasks, order)?;
     let mut events = Vec::new();
     let outcome = dag_policy_core(
         tasks,
-        order,
+        order.to_vec(),
         initial_recovery,
         downtime,
         policy,
         stream,
-        Some(&mut events),
+        &mut events,
     )?;
-    Ok(DagPolicyLoggedExecution { outcome, events })
+    Ok(PolicyLoggedExecution { outcome, events })
+}
+
+/// Checks that `tasks` is non-empty and `order` is a permutation of its
+/// indices.
+pub(crate) fn validate_order(tasks: &[ChainTask], order: &[usize]) -> Result<(), SimulationError> {
+    if tasks.is_empty() {
+        return Err(SimulationError::EmptySchedule);
+    }
+    let mut seen = vec![false; tasks.len()];
+    if order.len() != tasks.len()
+        || !order.iter().all(|&t| t < seen.len() && !std::mem::replace(&mut seen[t], true))
+    {
+        return Err(SimulationError::InvalidTaskOrder);
+    }
+    Ok(())
 }
 
 /// Verifies that `proposed` is a permutation of `current`, using `seen` as a
@@ -608,144 +452,145 @@ fn is_permutation_of(current: &[usize], proposed: &[usize], seen: &mut [bool]) -
     ok
 }
 
-/// The engine shared by the plain and the logged DAG entry points.
-fn dag_policy_core<P, S>(
+/// The §2 policy engine behind every chain and DAG entry point: executes
+/// `tasks` in `order` (a permutation of the task indices the caller has
+/// validated), consulting `policy` at every non-final boundary and sending
+/// its events to `log`.
+pub(crate) fn dag_policy_core<P, S, L>(
     tasks: &[ChainTask],
-    order: &[usize],
+    mut order: Vec<usize>,
     initial_recovery: f64,
     downtime: f64,
     policy: &mut P,
     stream: &mut S,
-    mut events: Option<&mut Vec<ExecutionEvent>>,
-) -> Result<DagPolicyExecutionRecord, SimulationError>
+    log: &mut L,
+) -> Result<PolicyExecutionRecord, SimulationError>
 where
     P: DagPolicy + ?Sized,
     S: FailureStream + ?Sized,
+    L: EventSink,
 {
     if tasks.is_empty() {
         return Err(SimulationError::EmptySchedule);
     }
-    let n = tasks.len();
-    let mut seen = vec![false; n];
-    if order.len() != n {
-        return Err(SimulationError::InvalidTaskOrder);
-    }
-    for &t in order {
-        if t >= n || seen[t] {
-            return Err(SimulationError::InvalidTaskOrder);
-        }
-        seen[t] = true;
-    }
-    seen.fill(false);
     let downtime = ensure_non_negative("downtime", downtime)?;
     let initial_recovery = ensure_non_negative("initial_recovery", initial_recovery)?;
 
-    let mut order: Vec<usize> = order.to_vec();
+    let n = tasks.len();
+    // Scratch bitmap for reorder checks, allocated on the first reorder.
+    let mut seen: Vec<bool> = Vec::new();
     let mut clock = 0.0f64;
     let mut breakdown = TimeBreakdown::default();
     let mut failure_times: Vec<f64> = Vec::new();
     let mut last_checkpoint: Option<usize> = None;
+    // Start of the current uncheckpointed run: everything executed since is
+    // lost on failure, committed as useful when a checkpoint completes.
     let mut run_start = 0.0f64;
     let mut checkpoints = 0u64;
     let mut decisions = 0u64;
     let mut reorders = 0u64;
     let mut position = 0usize;
 
-    macro_rules! log {
-        ($event:expr) => {
-            if let Some(sink) = events.as_deref_mut() {
-                sink.push($event);
-            }
-        };
-    }
-    // Recovery cost of the last durable state, through the current order.
-    macro_rules! protecting_recovery {
-        () => {
-            last_checkpoint.map_or(initial_recovery, |k| tasks[order[k]].recovery)
-        };
-    }
-
     while position < n {
-        log!(ExecutionEvent::AttemptStarted { segment: position, time: clock });
+        log.record(ExecutionEvent::AttemptStarted { segment: position, time: clock });
+        // A decision only reorders positions after this one.
+        let task = tasks[order[position]];
 
-        let work = tasks[order[position]].work;
-        if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, work) {
-            position = handle_failure(
-                protecting_recovery!(),
-                downtime,
-                at,
-                position,
-                last_checkpoint,
-                stream,
-                &mut clock,
-                &mut run_start,
-                &mut failure_times,
-                &mut breakdown,
-                &mut events,
-            );
-            continue;
-        }
-
-        // Decision point: the final boundary forces the checkpoint and has
-        // no suffix to reorder; every other boundary asks the policy.
-        let take = if position + 1 == n {
-            true
-        } else {
-            decisions += 1;
-            let ctx = DagDecisionContext {
-                position,
-                task: order[position],
-                clock,
-                last_checkpoint,
-                failure_times: &failure_times,
-                order: &order,
-            };
-            let decision = policy.decide(&ctx);
-            log!(ExecutionEvent::PolicyDecision {
-                segment: position,
-                time: clock,
-                checkpoint: decision.checkpoint
-            });
-            if let Some(suffix) = decision.reorder_suffix {
-                if !is_permutation_of(&order[position + 1..], &suffix, &mut seen) {
-                    return Err(SimulationError::InvalidTaskOrder);
-                }
-                order[position + 1..].copy_from_slice(&suffix);
-                reorders += 1;
+        // The task's work, then the decision, then the checkpoint if taken;
+        // evaluates to the instant of the failure that cut it short, if any.
+        let failed_at = 'attempt: {
+            if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, task.work) {
+                break 'attempt Some(at);
             }
-            decision.checkpoint
+
+            // Decision point: the final boundary forces the checkpoint (the
+            // model's final checkpoint) and has no suffix to reorder; every
+            // other boundary asks the policy.
+            let take = if position + 1 == n {
+                true
+            } else {
+                decisions += 1;
+                let ctx = DagDecisionContext {
+                    position,
+                    task: order[position],
+                    clock,
+                    last_checkpoint,
+                    failure_times: &failure_times,
+                    order: &order,
+                };
+                let decision = policy.decide(&ctx);
+                log.record(ExecutionEvent::PolicyDecision {
+                    segment: position,
+                    time: clock,
+                    checkpoint: decision.checkpoint,
+                });
+                if let Some(suffix) = decision.reorder_suffix {
+                    if seen.is_empty() {
+                        seen = vec![false; n];
+                    }
+                    if !is_permutation_of(&order[position + 1..], &suffix, &mut seen) {
+                        return Err(SimulationError::InvalidTaskOrder);
+                    }
+                    order[position + 1..].copy_from_slice(&suffix);
+                    reorders += 1;
+                }
+                decision.checkpoint
+            };
+
+            if take {
+                if task.checkpoint > 0.0 {
+                    if let PhaseOutcome::Failed { at } =
+                        run_phase(stream, &mut clock, task.checkpoint)
+                    {
+                        break 'attempt Some(at);
+                    }
+                }
+                // The checkpoint is durable: commit the run as useful time.
+                commit_run(clock, &mut run_start, &mut breakdown);
+                last_checkpoint = Some(position);
+                checkpoints += 1;
+                log.record(ExecutionEvent::SegmentCompleted { segment: position, time: clock });
+            }
+            None
         };
 
-        if take {
-            let ckpt = tasks[order[position]].checkpoint;
-            if ckpt > 0.0 {
-                if let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, ckpt) {
-                    position = handle_failure(
-                        protecting_recovery!(),
-                        downtime,
-                        at,
-                        position,
-                        last_checkpoint,
-                        stream,
-                        &mut clock,
-                        &mut run_start,
-                        &mut failure_times,
-                        &mut breakdown,
-                        &mut events,
-                    );
-                    continue;
-                }
+        let Some(at) = failed_at else {
+            position += 1;
+            continue;
+        };
+        // Failure during work or checkpoint: lose the run back to the last
+        // checkpoint, pay the failure-free downtime, recover (interruptibly:
+        // recovery failures pay another downtime and restart the recovery)
+        // from the last durable state, and resume after it.
+        let recovery = last_checkpoint.map_or(initial_recovery, |k| tasks[order[k]].recovery);
+        log.record(ExecutionEvent::Failure { segment: position, time: at, wasted: at - run_start });
+        absorb_run_failure(at, downtime, &mut clock, run_start, &mut failure_times, &mut breakdown);
+        log.record(ExecutionEvent::DowntimeCompleted { segment: position, time: clock });
+        if recovery > 0.0 {
+            while let PhaseOutcome::Failed { at } = run_phase(stream, &mut clock, recovery) {
+                log.record(ExecutionEvent::Failure {
+                    segment: position,
+                    time: at,
+                    wasted: at - clock,
+                });
+                absorb_recovery_failure(
+                    at,
+                    downtime,
+                    &mut clock,
+                    &mut failure_times,
+                    &mut breakdown,
+                );
+                log.record(ExecutionEvent::DowntimeCompleted { segment: position, time: clock });
             }
-            commit_run(clock, &mut run_start, &mut breakdown);
-            last_checkpoint = Some(position);
-            checkpoints += 1;
-            log!(ExecutionEvent::SegmentCompleted { segment: position, time: clock });
+            breakdown.recovery += recovery;
+            log.record(ExecutionEvent::RecoveryCompleted { segment: position, time: clock });
         }
-        position += 1;
+        run_start = clock;
+        position = last_checkpoint.map_or(0, |k| k + 1);
     }
 
     let failures = failure_times.len() as u64;
-    Ok(DagPolicyExecutionRecord {
+    Ok(PolicyExecutionRecord {
         record: ExecutionRecord { makespan: clock, failures, breakdown },
         checkpoints,
         decisions,
@@ -977,11 +822,26 @@ mod tests {
                 &mut s2,
             )
             .unwrap();
-            assert_eq!(chain.record, dag.record, "seed {seed}");
-            assert_eq!(chain.checkpoints, dag.checkpoints, "seed {seed}");
-            assert_eq!(chain.decisions, dag.decisions, "seed {seed}");
+            assert_eq!(chain, dag, "seed {seed}");
             assert_eq!(dag.reorders, 0);
             assert_eq!(dag.final_order, order);
+            // The logs agree event for event, so the chain adapter forwards
+            // every decision unchanged.
+            let mut s1 = ExponentialStream::new(1.0 / 900.0, seed);
+            let mut s2 = ExponentialStream::new(1.0 / 900.0, seed);
+            let chain_log =
+                simulate_policy_with_log(&tasks, 15.0, 25.0, &mut Flags(flags.clone()), &mut s1)
+                    .unwrap();
+            let dag_log = simulate_dag_policy_with_log(
+                &tasks,
+                &order,
+                15.0,
+                25.0,
+                &mut DagFlags(flags.clone()),
+                &mut s2,
+            )
+            .unwrap();
+            assert_eq!(chain_log, dag_log, "seed {seed}");
         }
     }
 

@@ -31,13 +31,17 @@ impl Segment {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimulationError`] if any argument is invalid.
+    /// Returns a [`SimulationError`] if any argument is invalid, or
+    /// [`SimulationError::NonPositiveParameter`] if `work + checkpoint`
+    /// overflows (an attempt that long never ends under any failure).
     pub fn new(work: f64, checkpoint: f64, recovery: f64) -> Result<Self, SimulationError> {
-        Ok(Segment {
+        let segment = Segment {
             work: ensure_positive("work", work)?,
             checkpoint: ensure_non_negative("checkpoint", checkpoint)?,
             recovery: ensure_non_negative("recovery", recovery)?,
-        })
+        };
+        ensure_positive("work + checkpoint", segment.attempt_duration())?;
+        Ok(segment)
     }
 
     /// The work duration of the segment.
@@ -77,6 +81,31 @@ mod tests {
         assert!(Segment::new(1.0, -1.0, 0.0).is_err());
         assert!(Segment::new(1.0, 0.0, -1.0).is_err());
         assert!(Segment::new(f64::INFINITY, 0.0, 0.0).is_err());
+    }
+
+    #[test]
+    fn overflowing_attempt_is_rejected() {
+        // Each cost is finite, but the attempt `work + checkpoint` is not.
+        assert!(matches!(
+            Segment::new(f64::MAX, f64::MAX, 0.0),
+            Err(SimulationError::NonPositiveParameter { name: "work + checkpoint", value })
+                if value == f64::INFINITY
+        ));
+        // The largest finite attempt is still accepted.
+        let largest = Segment::new(f64::MAX, 0.0, 0.0).unwrap();
+        assert_eq!(largest.attempt_duration(), f64::MAX);
+    }
+
+    #[test]
+    fn every_accepted_segment_has_a_finite_attempt() {
+        let huge = [f64::MAX, f64::MAX / 2.0, 1e308, 1.0];
+        for work in huge {
+            for checkpoint in [0.0, 1.0, f64::MAX / 2.0, 1e308, f64::MAX] {
+                if let Ok(segment) = Segment::new(work, checkpoint, 0.0) {
+                    assert!(segment.attempt_duration().is_finite(), "{work} + {checkpoint}");
+                }
+            }
+        }
     }
 
     #[test]
